@@ -188,6 +188,7 @@ void PrecisionAuditor::BeginRun(const std::string& label) {
   run_label_ = label;
   records_.clear();
   pending_snapshot_ = false;
+  pending_unanswered_ = false;
   pending_record_ = CoverageRecord();
   pending_skip_ = false;
   skip_tick_ = 0;
@@ -215,6 +216,7 @@ void PrecisionAuditor::FlushPending() {
     cost_hist_.Observe(static_cast<double>(pending_record_.message_cost));
     pending_snapshot_ = false;
   }
+  pending_unanswered_ = false;
   pending_skip_ = false;  // An unresolved skip carries no information.
 }
 
@@ -251,6 +253,13 @@ void PrecisionAuditor::RecordTimeout(int64_t tick, double held_value,
   pending_snapshot_ = true;
 }
 
+void PrecisionAuditor::RecordUnanswered(int64_t tick, uint64_t message_cost,
+                                        int health) {
+  RecordTimeout(tick, /*held_value=*/0.0, /*ci_halfwidth=*/0.0, message_cost,
+                health);
+  pending_unanswered_ = true;
+}
+
 void PrecisionAuditor::RecordSkip(int64_t tick, double reported,
                                   double ci_halfwidth) {
   FlushPending();
@@ -278,7 +287,9 @@ void PrecisionAuditor::RecordTruth(int64_t tick, double truth) {
 
 void PrecisionAuditor::ResolveSnapshot(double truth) {
   CoverageRecord r = pending_record_;
+  const bool unanswered = pending_unanswered_;
   pending_snapshot_ = false;
+  pending_unanswered_ = false;
   r.truth = truth;
   r.has_truth = true;
   const double error = r.estimate - truth;
@@ -299,7 +310,7 @@ void PrecisionAuditor::ResolveSnapshot(double truth) {
     ++cause_counts_[static_cast<size_t>(r.cause)];
   }
   records_.push_back(r);
-  abs_error_hist_.Observe(std::fabs(error) / epsilon_);
+  if (!unanswered) abs_error_hist_.Observe(std::fabs(error) / epsilon_);
   cost_hist_.Observe(static_cast<double>(r.message_cost));
 
   const uint64_t occasions = hits_ + misses_;
@@ -319,12 +330,15 @@ void PrecisionAuditor::ResolveSnapshot(double truth) {
   // Drift detectors, both standardized so thresholds are
   // workload-independent: error in ε units, cost as relative excess
   // over its own EWMA baseline.
-  const double s = error / epsilon_;
   const double a = options_.ewma_alpha;
-  const double error_ewma_next =
-      error_detector_.initialized ? (1.0 - a) * error_detector_.ewma + a * s
-                                  : s;
-  UpdateDetector(&error_detector_, "signed_error", s, error_ewma_next);
+  if (!unanswered) {
+    const double s = error / epsilon_;
+    const double error_ewma_next =
+        error_detector_.initialized
+            ? (1.0 - a) * error_detector_.ewma + a * s
+            : s;
+    UpdateDetector(&error_detector_, "signed_error", s, error_ewma_next);
+  }
 
   const double cost = static_cast<double>(r.message_cost);
   double relative_excess = 0.0;

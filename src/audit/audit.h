@@ -194,6 +194,11 @@ class PrecisionAuditor {
   void RecordTimeout(int64_t tick, double held_value, double ci_halfwidth,
                      uint64_t message_cost, int health);
 
+  /// The occasion produced nothing and the session has no result yet: a
+  /// timeout miss in the ledger, with no answer whose error could feed
+  /// the error histogram or the signed-error drift detector.
+  void RecordUnanswered(int64_t tick, uint64_t message_cost, int health);
+
   /// The scheduler skipped this tick; `reported` is the held or
   /// extrapolated answer shown under `ci_halfwidth`.
   void RecordSkip(int64_t tick, double reported, double ci_halfwidth);
@@ -320,6 +325,7 @@ class PrecisionAuditor {
 
   std::vector<CoverageRecord> records_;
   bool pending_snapshot_ = false;
+  bool pending_unanswered_ = false;  ///< Pending record has no answer.
   CoverageRecord pending_record_;
   bool pending_skip_ = false;
   int64_t skip_tick_ = 0;

@@ -304,37 +304,43 @@ Result<EngineTickResult> DigestEngine::Tick(int64_t t) {
         options_.tracer->Emit(
             obs::DegradedFallbackEvent{/*retained_pool=*/true});
       }
-    } else if (has_result_) {
+    } else {
+      // The occasion produced nothing usable at all: the worst outcome
+      // the supervisor tracks. A session that has answered before holds
+      // its previous result; one that has not stays unanswered. Either
+      // way the tick is degraded and the next one retries promptly.
       ++stats_.degraded_ticks;
       out.degraded = true;
-      // The occasion produced nothing usable at all: the worst outcome
-      // the supervisor tracks.
       supervisor_.RecordOutcome(SnapshotOutcome::kTimeout);
-      // Every consecutive failed snapshot doubles the uncertainty band:
-      // the answer is stale and nothing bounds the drift accumulated
-      // while the network is unreachable.
-      const double ci_before = last_ci_halfwidth_;
-      last_ci_halfwidth_ =
-          2.0 * std::max(last_ci_halfwidth_, spec_.precision.epsilon);
-      out.ci_halfwidth = last_ci_halfwidth_;
-      next_snapshot_tick_ = t + 1;  // Retry promptly.
-      if (obs::Tracing(options_.tracer)) {
-        options_.tracer->Emit(
-            obs::DegradedFallbackEvent{/*retained_pool=*/false});
-        options_.tracer->Emit(
-            obs::CiWidenedEvent{ci_before, last_ci_halfwidth_});
+      next_snapshot_tick_ = t + 1;
+      if (has_result_) {
+        // Every consecutive failed snapshot doubles the uncertainty
+        // band: the answer is stale and nothing bounds the drift
+        // accumulated while the network is unreachable.
+        const double ci_before = last_ci_halfwidth_;
+        last_ci_halfwidth_ =
+            2.0 * std::max(last_ci_halfwidth_, spec_.precision.epsilon);
+        out.ci_halfwidth = last_ci_halfwidth_;
+        if (obs::Tracing(options_.tracer)) {
+          options_.tracer->Emit(
+              obs::DegradedFallbackEvent{/*retained_pool=*/false});
+          options_.tracer->Emit(
+              obs::CiWidenedEvent{ci_before, last_ci_halfwidth_});
+        }
       }
       if (options_.auditor != nullptr) {
-        options_.auditor->RecordTimeout(
-            t, reported_value_, last_ci_halfwidth_,
-            (meter_ != nullptr ? meter_->Total() : 0) - cost_before,
-            static_cast<int>(supervisor_.health()));
+        const uint64_t cost =
+            (meter_ != nullptr ? meter_->Total() : 0) - cost_before;
+        const int health = static_cast<int>(supervisor_.health());
+        if (has_result_) {
+          options_.auditor->RecordTimeout(t, reported_value_,
+                                          last_ci_halfwidth_, cost, health);
+        } else {
+          options_.auditor->RecordUnanswered(t, cost, health);
+        }
       }
       emit_tick(out);
       return out;
-    } else {
-      // No previous result to hold: the query cannot answer yet.
-      return fresh.status();
     }
   } else {
     return fresh.status();

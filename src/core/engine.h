@@ -83,13 +83,13 @@ struct DigestEngineOptions {
   /// never influences scheduling or estimation.
   SupervisorOptions supervisor;
 
-  /// Worker threads for the sampling tier's walk batches. 0 (default)
-  /// keeps the legacy serial execution; any value >= 1 selects the
-  /// deterministic parallel mode, whose outputs are bit-identical for
-  /// EVERY num_threads >= 1 (see SamplingOperatorOptions::num_threads).
-  /// A non-zero value is copied into sampling_options.num_threads for
-  /// every operator the engine builds; checkpoints taken at one thread
-  /// count restore and replay bit-identically at any other.
+  /// Worker threads for the sampling tier's walk batches: 0 and 1 run
+  /// each batch's walks inline on the calling thread, >= 2 on a worker
+  /// pool, with bit-identical outputs at every value (see
+  /// SamplingOperatorOptions::num_threads). A non-zero value is copied
+  /// into sampling_options.num_threads for every operator the engine
+  /// builds; checkpoints taken at one thread count restore and replay
+  /// bit-identically at any other.
   size_t num_threads = 0;
 
   /// How PRED measures the predicted δ-drift (Eq. 4).
@@ -143,7 +143,8 @@ struct DigestEngineOptions {
 
   /// Optional precision auditor (not owned; null disables). The engine
   /// feeds it one observation per tick — RecordSnapshot on sampling
-  /// occasions, RecordTimeout on hold-under-fault ticks, RecordSkip on
+  /// occasions, RecordTimeout on hold-under-fault ticks (RecordUnanswered
+  /// when there is no result to hold yet), RecordSkip on
   /// PRED-skipped ticks — and the driver resolves each with ground truth
   /// via RecordTruth when an oracle is available (see audit/audit.h).
   /// The auditor's only feedback edge is deliberate and deterministic:
@@ -200,7 +201,10 @@ struct EngineTickResult {
   bool has_result = false;         ///< False until the first snapshot.
   /// True when this tick's answer is degraded: fresh sampling timed out
   /// under faults and the engine fell back to retained samples (or, as
-  /// a last resort, held the previous result).
+  /// a last resort, held the previous result). A first occasion that
+  /// times out with nothing to fall back on is degraded with
+  /// has_result still false: the query stays unanswered and retries on
+  /// the next tick.
   bool degraded = false;
   /// True when this tick's snapshot was finalized early against its
   /// message/step budget (deadline-budgeted partial snapshot): the

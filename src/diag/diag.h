@@ -32,7 +32,7 @@ struct DiagOptions {
 };
 
 /// Per-walk diagnostic scratchpad. One instance rides each walk agent
-/// through a batch (thread-locally under the parallel executor) and
+/// through a batch (thread-locally on the worker pool) and
 /// records raw facts only — no aggregation, no RNG, no clock — so the
 /// fold into SamplerDiag can happen on the main thread in walk-index
 /// order, keeping the diagnostics bit-identical for any thread count.

@@ -37,8 +37,9 @@ namespace exec {
 ///
 /// The pool spawns `num_threads - 1` persistent workers; the calling
 /// thread itself acts as worker 0 during ParallelFor, so a pool built
-/// with num_threads <= 1 spawns nothing and runs items inline — the
-/// serial reference schedule that the determinism tests compare against.
+/// with num_threads <= 1 spawns nothing and runs items inline. (The
+/// sampling operator builds no pool at all below 2 threads; it runs its
+/// walks inline under the same run-all, lowest-failure rule.)
 ///
 /// Work distribution is a sharded queue with stealing: the item range is
 /// cut into one contiguous shard per worker, each with an atomic claim

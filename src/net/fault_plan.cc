@@ -31,6 +31,19 @@ constexpr uint64_t kPartitionSalt = 0x50415254u;  // "PART"
 constexpr uint64_t kFlapSalt = 0x464c4150u;       // "FLAP"
 constexpr uint64_t kDirectionSalt = 0x44495245u;  // "DIRE"
 
+// Times one draw into whichever sinks are attached (each inert when
+// null): the session profiler and/or the running thread's Track.
+struct FaultDrawTimer {
+  FaultDrawTimer(prof::Profiler* profiler, prof::Track* track)
+      : profiler_timer(profiler, prof::Phase::kFaultDraw),
+        track_timer(track, prof::Phase::kFaultDraw) {
+    profiler_timer.AddItems(1);
+    track_timer.AddItems(1);
+  }
+  prof::ScopedTimer profiler_timer;
+  prof::ScopedTrackTimer track_timer;
+};
+
 Status ValidateProbability(double p, const char* name) {
   if (!(p >= 0.0 && p <= 1.0)) {
     return Status::InvalidArgument(std::string(name) +
@@ -250,8 +263,7 @@ bool FaultPlan::LoseMessage(NodeId from, NodeId to) {
   if (rate <= 0.0) return false;
   // Times only paths that actually draw from the plan's stream; the
   // zero-rate early-outs above cost no randomness and stay untimed.
-  prof::ScopedTimer timer(profiler_, prof::Phase::kFaultDraw);
-  timer.AddItems(1);
+  FaultDrawTimer timer(profiler_, track_);
   if (!rng_.NextBernoulli(rate)) return false;
   ++losses_injected_;
   if (obs::Tracing(tracer_)) {
@@ -262,8 +274,7 @@ bool FaultPlan::LoseMessage(NodeId from, NodeId to) {
 
 bool FaultPlan::DropAgent() {
   if (config_.agent_drop <= 0.0) return false;
-  prof::ScopedTimer timer(profiler_, prof::Phase::kFaultDraw);
-  timer.AddItems(1);
+  FaultDrawTimer timer(profiler_, track_);
   if (!rng_.NextBernoulli(config_.agent_drop)) return false;
   ++drops_injected_;
   return true;
@@ -271,16 +282,14 @@ bool FaultPlan::DropAgent() {
 
 bool FaultPlan::StaleProbe() {
   if (config_.stale_probe <= 0.0) return false;
-  prof::ScopedTimer timer(profiler_, prof::Phase::kFaultDraw);
-  timer.AddItems(1);
+  FaultDrawTimer timer(profiler_, track_);
   if (!rng_.NextBernoulli(config_.stale_probe)) return false;
   ++stale_injected_;
   return true;
 }
 
 double FaultPlan::DistortWeight(double weight) {
-  prof::ScopedTimer timer(profiler_, prof::Phase::kFaultDraw);
-  timer.AddItems(1);
+  FaultDrawTimer timer(profiler_, track_);
   const double u = 2.0 * rng_.NextDouble() - 1.0;
   return std::max(0.0, weight * (1.0 + config_.stale_noise * u));
 }

@@ -13,6 +13,7 @@ class Tracer;
 }  // namespace obs
 namespace prof {
 class Profiler;
+class Track;
 }  // namespace prof
 
 /// Rates and shapes of the injected faults. All probabilities are in
@@ -132,6 +133,12 @@ class FaultPlan {
   void SetProfiler(prof::Profiler* profiler) { profiler_ = profiler; }
   prof::Profiler* profiler() const { return profiler_; }
 
+  /// Attaches (or detaches) a per-thread wall-clock Track that the same
+  /// draws also fold into: a walk's substream times its draws into the
+  /// Track of the thread running the walk, since the Profiler itself is
+  /// single-threaded. Not owned; same purity contract.
+  void SetTrack(prof::Track* track) { track_ = track; }
+
   /// Draws whether one transmission over edge (from, to) is lost.
   /// Counts toward losses_injected() when true.
   bool LoseMessage(NodeId from, NodeId to);
@@ -211,6 +218,7 @@ class FaultPlan {
   Rng rng_;
   obs::Tracer* tracer_ = nullptr;
   prof::Profiler* profiler_ = nullptr;
+  prof::Track* track_ = nullptr;
   int64_t now_ = 0;
   bool partition_window_active_ = false;
   uint64_t active_episode_ = 0;  ///< Valid while a window is active.

@@ -122,7 +122,7 @@ class MessageMeter {
   /// Folds another meter's counts into this one (saturating per
   /// category, losses included). Saturating addition is commutative and
   /// associative — min(a+b, MAX) in any grouping — so merging per-walk
-  /// meters in any order yields identical counts; the parallel executor
+  /// meters in any order yields identical counts; the walk executor
   /// still merges in walk-index order for uniformity with the other
   /// merge steps. Property-tested in message_meter_test.cc.
   void Merge(const MessageMeter& other) {

@@ -135,8 +135,8 @@ class QuarantineView {
 };
 
 /// Per-walk outcome scratchpad, the health twin of diag::WalkDiagBuffer:
-/// one instance rides each walk through a batch (thread-locally under
-/// the parallel executor) and records raw facts only — no aggregation,
+/// one instance rides each walk through a batch (thread-locally on the
+/// worker pool) and records raw facts only — no aggregation,
 /// no RNG, no clock — so the fold into PeerHealthMonitor happens on the
 /// main thread in walk-index order.
 struct WalkHealthBuffer {

@@ -417,10 +417,10 @@ class MemoryTracer : public Tracer {
 };
 
 /// Collects bare payloads for deferred re-emission through another
-/// tracer. The parallel walk executor hands each in-flight walk one of
-/// these (events buffer thread-locally, unstamped), then re-emits the
-/// payloads through the main tracer in walk-index order after the merge
-/// barrier — so the final stamped stream is independent of scheduling.
+/// tracer. The walk executor hands each walk one of these (events
+/// buffer thread-locally, unstamped), then re-emits the payloads through
+/// the main tracer in walk-index order once every walk has run — so the
+/// final stamped stream is independent of scheduling.
 class BufferTracer : public Tracer {
  public:
   bool enabled() const override { return true; }

@@ -82,11 +82,11 @@ bool PhaseCapturesSpans(Phase phase);
 
 class Profiler;
 
-/// A per-worker wall-clock accumulator for parallel regions. The main
-/// Profiler is single-threaded by contract; during a parallel walk
-/// batch each pool worker instead records into its own Track (written
-/// by that worker only — no synchronization), and the main thread folds
-/// every track back into the Profiler after the pool barrier
+/// A per-worker wall-clock accumulator for walk batches. The main
+/// Profiler is single-threaded by contract; during a walk batch each
+/// thread running walks instead records into its own Track (written by
+/// that thread only — no synchronization), and the calling thread folds
+/// every track back into the Profiler once the walks have run
 /// (Profiler::FoldTrack). Tracks aggregate per-phase counters only, no
 /// span capture: the phases workers run (walk stepping, fault draws)
 /// are the high-frequency ones that never capture spans anyway.
@@ -183,9 +183,9 @@ class Profiler {
   /// "max_ns":N,"items":N},...},"spans_captured":N,"spans_dropped":N}`.
   /// Phases with zero calls and zero items are omitted. Key order is
   /// the Phase enum order (stable across runs). When worker tracks were
-  /// folded (parallel runs), a `"tracks":[{"worker":N,"phases":{...}},
-  /// ...]` array follows — omitted entirely otherwise, keeping serial
-  /// output byte-identical to the pre-parallel layout.
+  /// folded (any run with a walk batch), a
+  /// `"tracks":[{"worker":N,"phases":{...}},...]` array follows —
+  /// omitted entirely otherwise.
   std::string ToJson() const;
 
  private:

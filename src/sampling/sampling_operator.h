@@ -35,12 +35,12 @@ class PeerHealthMonitor;
 /// a redundant (hedged) walk and let the two race; the first to finish
 /// delivers the sample and the loser's eventual delivery is suppressed
 /// as a duplicate. The duplicate is routed through a different replica
-/// when possible — it forks from the most recently delivered agent's
-/// already-mixed position, away from whatever lossy or stalled
-/// neighborhood trapped the straggler — and the race resolves in
-/// virtual time (consumed attempt units), with the cheaper walker
-/// stepping next, the way two parallel walks would resolve in a real
-/// overlay. The threshold is derived purely from the observed
+/// when possible — walk i's hedge forks from walk i-1's start-of-batch
+/// agent when that agent is warm and live: an already-mixed position
+/// away from whatever lossy or stalled neighborhood trapped the
+/// straggler — and the race resolves in virtual time (consumed attempt
+/// units), with the cheaper walker stepping next, the way two parallel
+/// walks would resolve in a real overlay. The threshold is derived purely from the observed
 /// attempts-per-step distribution of completed walks in this run — no
 /// wall clock — so hedged runs stay bit-reproducible from the seed.
 struct HedgePolicy {
@@ -93,19 +93,14 @@ struct SamplingOperatorOptions {
   /// Hedged-walk straggler mitigation (only active under a FaultPlan).
   HedgePolicy hedge;
 
-  /// Walk-batch execution mode. 0 (default) is the legacy serial path:
-  /// every draw comes from the operator's single shared RNG stream,
-  /// bit-identical to all pre-parallel releases. Any value >= 1 selects
-  /// the deterministic parallel mode: each batch derives one substream
-  /// per WALK (keyed by walk index via Rng::Split, never by thread) and
-  /// runs the walks on a worker pool of this many threads, merging
-  /// results/meters/traces in walk-index order after the pool barrier —
-  /// so every observable output is bit-identical for ANY num_threads
-  /// >= 1 (num_threads == 1 runs the same algorithm inline and is the
-  /// reference schedule the determinism tests compare against). See
-  /// DESIGN.md "Parallel execution & determinism model" for the exact
-  /// semantic deltas vs the serial path (per-walk hedge statistics
-  /// freezing, walk-granular hop budget).
+  /// Threads that run a batch's walks. Each batch derives one RNG and
+  /// fault substream per WALK (keyed by walk index via Rng::Split, never
+  /// by thread) and merges results, meters and traces in walk-index
+  /// order once every walk has run. 0 and 1 run the walks inline on the
+  /// calling thread (no pool, no threads spawned); >= 2 fans them out on
+  /// an exec::WorkerPool of this many threads. Every observable output
+  /// is bit-identical at every value. See DESIGN.md "Parallel execution
+  /// & determinism model".
   size_t num_threads = 0;
 };
 
@@ -253,15 +248,11 @@ class SamplingOperator {
   void RestoreState(const State& state);
 
  private:
-  /// Core batch loop shared by SampleNodes / SampleNodesPartial. The
-  /// two wrappers differ only in how a hop-budget timeout is reported.
-  /// Dispatches to SampleBatchParallel when options_.num_threads >= 1.
-  Result<PartialBatch> SampleBatch(NodeId origin, size_t n);
+  struct WalkSlot;
 
-  /// Deterministic multi-threaded batch: per-walk substreams, worker
-  /// pool fan-out, ordered post-barrier merge. Bit-identical output for
-  /// any num_threads >= 1.
-  Result<PartialBatch> SampleBatchParallel(NodeId origin, size_t n);
+  /// Core batch shared by SampleNodes / SampleNodesPartial. The two
+  /// wrappers differ only in how a hop-budget timeout is reported.
+  Result<PartialBatch> SampleBatch(NodeId origin, size_t n);
 
   /// Hedge straggler threshold in attempt units for an agent planned to
   /// walk `steps` steps; 0 means hedging is disarmed (disabled, no fault
@@ -282,8 +273,11 @@ class SamplingOperator {
   WalkTelemetry last_telemetry_;
   std::vector<RandomWalk> agents_;  // Warm agents, reused round-robin.
   size_t next_agent_ = 0;
-  // Worker pool for the parallel mode; created lazily on the first
-  // parallel batch (absent entirely at num_threads == 0).
+  // Per-walk output slots, reused across batches (grown to the largest
+  // batch so far).
+  std::vector<WalkSlot> slots_;
+  // Worker pool; created lazily on the first batch at num_threads >= 2
+  // (absent entirely at 0 and 1).
   std::unique_ptr<exec::WorkerPool> pool_;
   // Completed-walk stats for the hedge threshold (faulted batches only).
   uint64_t done_walks_ = 0;

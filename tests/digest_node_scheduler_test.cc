@@ -247,11 +247,12 @@ TEST(DigestNodeSchedulerTest, CheckpointRestoreBitIdentical) {
 }
 
 TEST(DigestNodeSchedulerTest, CheckpointRestoreAcrossThreadCounts) {
-  // A blob cut from a single-threaded node restores into a 4-thread
-  // node (same seed/queries) and the tails stay bit-identical: lanes
-  // and substreams are walk-indexed, never thread-indexed.
+  // A blob cut from a node running its walks inline restores into a
+  // node at every thread count (same seed/queries) and the tails stay
+  // bit-identical: lanes and substreams are walk-indexed, never
+  // thread-indexed.
   Fixture f;
-  MessageMeter meter_a, meter_b;
+  MessageMeter meter_a;
   auto make_node = [&](MessageMeter* meter, size_t threads) {
     DigestEngineOptions options = FastOptions();
     options.num_threads = threads;
@@ -264,20 +265,24 @@ TEST(DigestNodeSchedulerTest, CheckpointRestoreAcrossThreadCounts) {
         node->IssueQuery(Spec("SELECT AVG(memory) FROM R", 1.0)).ok());
     return node;
   };
-  auto a = make_node(&meter_a, 1);
+  auto a = make_node(&meter_a, 0);
   Drive(a.get(), 0, 2);
   const std::string blob = a->Checkpoint().value();
   const auto tail_a = Drive(a.get(), 2, 3);
 
-  auto b = make_node(&meter_b, 4);
-  ASSERT_TRUE(b->Restore(blob).ok());
-  const auto tail_b = Drive(b.get(), 2, 3);
-  ASSERT_EQ(tail_a.size(), tail_b.size());
-  for (size_t i = 0; i < tail_a.size(); ++i) {
-    EXPECT_EQ(tail_a[i].first, tail_b[i].first) << "entry " << i;
-    EXPECT_EQ(tail_a[i].second, tail_b[i].second) << "entry " << i;
+  for (size_t threads : {0u, 1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    MessageMeter meter_b;
+    auto b = make_node(&meter_b, threads);
+    ASSERT_TRUE(b->Restore(blob).ok());
+    const auto tail_b = Drive(b.get(), 2, 3);
+    ASSERT_EQ(tail_a.size(), tail_b.size());
+    for (size_t i = 0; i < tail_a.size(); ++i) {
+      EXPECT_EQ(tail_a[i].first, tail_b[i].first) << "entry " << i;
+      EXPECT_EQ(tail_a[i].second, tail_b[i].second) << "entry " << i;
+    }
+    EXPECT_EQ(meter_a.Total(), meter_b.Total());
   }
-  EXPECT_EQ(meter_a.Total(), meter_b.Total());
 }
 
 TEST(DigestNodeSchedulerTest, RestoreRejectsMismatches) {

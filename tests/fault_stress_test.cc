@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "audit/audit.h"
 #include "core/engine.h"
 #include "db/p2p_database.h"
 #include "net/fault_plan.h"
@@ -166,6 +167,80 @@ TEST(FaultStressTest, StallsAndStaleProbesStillAnswerEveryTick) {
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->reported.size(), kTicks);
   EXPECT_GE(run->widened_precision.within_tolerance_fraction, 0.5);
+}
+
+TEST(FaultStressTest, UnanswerableFirstOccasionIsAnUnansweredTick) {
+  // A partition that isolates (nearly) every peer covers the first two
+  // ticks, and a tight hop budget turns the stranded walks into a batch
+  // timeout. The first occasion then has no retained pool and no
+  // earlier result to hold: those ticks must come back ok and
+  // unanswered — a supervisor timeout and an audit timeout record, not
+  // an error — and the query must answer once the partition heals.
+  StaticDriftWorkload workload(MakeTopology("mesh"), /*seed=*/777);
+  const ContinuousQuerySpec spec =
+      ContinuousQuerySpec::Create("SELECT AVG(load) FROM R",
+                                  PrecisionSpec{1.0, 4.0, 0.9})
+          .value();
+  FaultPlanConfig config;
+  config.partition_every = 1000;
+  config.partition_length = 3;  // Ticks 0-2 of every 1000.
+  config.partition_components = 1000;
+  ASSERT_TRUE(config.Validate().ok());
+  FaultPlan plan(config, /*seed=*/4242);
+  audit::PrecisionAuditor auditor;
+  DigestEngineOptions options;
+  options.scheduler = SchedulerKind::kAll;
+  options.estimator = EstimatorKind::kRepeated;
+  options.sampling_options.walk_length = 16;
+  options.sampling_options.reset_length = 4;
+  options.sampling_options.retry.hop_budget_factor = 2.0;
+  options.fault_plan = &plan;
+  options.auditor = &auditor;
+  Rng rng(11);
+  const NodeId querying = workload.graph().RandomLiveNode(rng).value();
+  workload.ProtectNode(querying);
+  MessageMeter meter;
+  std::unique_ptr<DigestEngine> engine =
+      DigestEngine::Create(&workload.graph(), &workload.db(), spec,
+                           querying, rng.Fork(), &meter, options)
+          .value();
+  auditor.BeginRun("unanswered-first-occasion");
+
+  size_t unanswered = 0;
+  bool answered = false;
+  for (int i = 0; i < 6 && !answered; ++i) {
+    ASSERT_TRUE(workload.Advance().ok());
+    plan.set_now(workload.now());
+    Result<EngineTickResult> tick = engine->Tick(workload.now());
+    ASSERT_TRUE(tick.ok()) << tick.status().message();
+    auditor.RecordTruth(workload.now(),
+                        workload.db().ExactAggregate(spec.query).value());
+    if (tick->has_result) {
+      answered = true;
+      EXPECT_GE(workload.now(), config.partition_length);
+    } else {
+      ++unanswered;
+      EXPECT_TRUE(tick->degraded);
+      EXPECT_FALSE(tick->snapshot_executed);
+    }
+  }
+  EXPECT_GE(unanswered, 1u) << "the partition never stalled an occasion";
+  EXPECT_TRUE(answered) << "the query never answered after the heal";
+  EXPECT_EQ(engine->supervisor().outcome_count(SnapshotOutcome::kTimeout),
+            unanswered);
+  EXPECT_EQ(engine->stats().snapshots, 1u);
+  // Each unanswered occasion is a timeout miss in the ledger; it feeds
+  // neither the error histogram nor the signed-error drift detector.
+  const audit::PrecisionAuditor::Summary summary = auditor.Summarize();
+  EXPECT_EQ(summary.cause_counts[static_cast<size_t>(
+                audit::MissCause::kHedgeTimeout)],
+            unanswered);
+  EXPECT_EQ(summary.error_breaches, 0u);
+  size_t timeouts = 0;
+  for (const audit::CoverageRecord& r : auditor.records()) {
+    if (r.timeout) ++timeouts;
+  }
+  EXPECT_EQ(timeouts, unanswered);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Hedged walks under the parallel executor: straggler detection
+// Hedged walks under the walk executor: straggler detection
 // (against the threshold frozen at batch start), donor-fork selection,
 // the virtual-time race, and hedge-win accounting must all resolve
 // identically for any thread count — the walk_hedged trace lines, the
 // hedge meter categories, and the per-walk hedge telemetry are compared
-// bit-for-bit across num_threads in {1, 2, 4, 8}. Runs under
+// bit-for-bit across num_threads in {0, 1, 2, 4, 8}. Runs under
 // ThreadSanitizer in CI (DIGEST_SANITIZE=thread).
 #include <gtest/gtest.h>
 
@@ -161,13 +161,13 @@ Result<HedgeRun> DriveHedged(size_t num_threads) {
 }
 
 TEST(HedgeParallelTest, HedgeAccountingIdenticalAcrossThreadCounts) {
-  Result<HedgeRun> reference = DriveHedged(1);
+  Result<HedgeRun> reference = DriveHedged(0);
   ASSERT_TRUE(reference.ok()) << reference.status().message();
   // Heavy stalls really produced stragglers, and some hedges launched.
   EXPECT_GT(reference->hedge_launches, 0u);
   EXPECT_LE(reference->hedged_duplicates, reference->hedge_launches);
   ASSERT_FALSE(reference->hedge_lines.empty());
-  for (size_t threads : {2u, 4u, 8u}) {
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     Result<HedgeRun> run = DriveHedged(threads);
     ASSERT_TRUE(run.ok()) << run.status().message();
@@ -237,14 +237,14 @@ OperatorHedgeRun RunOperatorHedged(size_t num_threads) {
 }
 
 TEST(HedgeParallelTest, OperatorHedgeTelemetryIdenticalAcrossThreadCounts) {
-  const OperatorHedgeRun reference = RunOperatorHedged(1);
+  const OperatorHedgeRun reference = RunOperatorHedged(0);
   // The eager threshold really hedged, and launches were metered
   // one-for-one with the telemetry.
   EXPECT_GT(reference.hedges, 0u);
   EXPECT_EQ(reference.hedge_launches, reference.hedges);
   EXPECT_LE(reference.hedge_wins, reference.hedges);
   EXPECT_GT(reference.done_walks, 0u);
-  for (size_t threads : {2u, 4u, 8u}) {
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const OperatorHedgeRun run = RunOperatorHedged(threads);
     EXPECT_EQ(run.samples, reference.samples);
@@ -259,7 +259,7 @@ TEST(HedgeParallelTest, OperatorHedgeTelemetryIdenticalAcrossThreadCounts) {
 }
 
 TEST(HedgeParallelTest, DisabledHedgePaysNothingInParallelMode) {
-  // With hedging off the parallel path must not launch or meter any
+  // With hedging off, walks on the worker pool must not launch or meter any
   // hedge traffic, faults or not.
   const Graph graph = MakeMesh(8, 8).value();
   MessageMeter meter;

@@ -301,19 +301,21 @@ TEST(ObsDeterminismTest, AuditOffIsBitIdenticalToUnaudited) {
 
 TEST(ObsDeterminismTest, AuditLedgerIsThreadCountInvariant) {
   // The ledger is a pure fold over the observation sequence, which the
-  // deterministic parallel executor keeps identical for every worker
-  // count: the full summary (coverage, attribution, drift state,
-  // quantiles) must be byte-identical for 1 vs 4 threads.
-  const AuditedRun serial =
+  // walk executor keeps identical for every thread count: the full
+  // summary (coverage, attribution, drift state, quantiles) and the
+  // trace must be byte-identical for num_threads in {0, 1, 2, 4, 8}.
+  const AuditedRun reference =
       RunAudited(/*with_audit=*/true, /*with_faults=*/true,
-                 /*num_threads=*/1);
-  const AuditedRun parallel =
-      RunAudited(/*with_audit=*/true, /*with_faults=*/true,
-                 /*num_threads=*/4);
-  ASSERT_FALSE(serial.summary_json.empty());
-  EXPECT_EQ(serial.summary_json, parallel.summary_json);
-  EXPECT_EQ(obs::RenderJsonLines(serial.events),
-            obs::RenderJsonLines(parallel.events));
+                 /*num_threads=*/0);
+  ASSERT_FALSE(reference.summary_json.empty());
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const AuditedRun run =
+        RunAudited(/*with_audit=*/true, /*with_faults=*/true, threads);
+    EXPECT_EQ(reference.summary_json, run.summary_json);
+    EXPECT_EQ(obs::RenderJsonLines(reference.events),
+              obs::RenderJsonLines(run.events));
+  }
 }
 
 struct DiaggedRun {
@@ -394,19 +396,21 @@ TEST(ObsDeterminismTest, DiagOffIsBitIdenticalToUndiagged) {
 
 TEST(ObsDeterminismTest, DiagStateIsThreadCountInvariant) {
   // The diagnostics fold per-walk buffers in walk-index order on the
-  // main thread, so the full run summary (counts, TV, ESS, R-hat — all
-  // %.17g) must be byte-identical for 1 vs 4 worker threads, and so
-  // must the exported trace.
-  const DiaggedRun serial =
+  // calling thread, so the full run summary (counts, TV, ESS, R-hat —
+  // all %.17g) and the exported trace must be byte-identical for
+  // num_threads in {0, 1, 2, 4, 8}.
+  const DiaggedRun reference =
       RunDiagged(/*with_diag=*/true, /*with_faults=*/true,
-                 /*num_threads=*/1);
-  const DiaggedRun parallel =
-      RunDiagged(/*with_diag=*/true, /*with_faults=*/true,
-                 /*num_threads=*/4);
-  ASSERT_FALSE(serial.diag_summary.empty());
-  EXPECT_EQ(serial.diag_summary, parallel.diag_summary);
-  EXPECT_EQ(obs::RenderJsonLines(serial.events),
-            obs::RenderJsonLines(parallel.events));
+                 /*num_threads=*/0);
+  ASSERT_FALSE(reference.diag_summary.empty());
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const DiaggedRun run =
+        RunDiagged(/*with_diag=*/true, /*with_faults=*/true, threads);
+    EXPECT_EQ(reference.diag_summary, run.diag_summary);
+    EXPECT_EQ(obs::RenderJsonLines(reference.events),
+              obs::RenderJsonLines(run.events));
+  }
 }
 
 TEST(ObsDeterminismTest, NullTracerMatchesNoTracer) {

@@ -1,10 +1,9 @@
-// Acceptance battery for the deterministic parallel walk executor: for
-// the same seed and options, estimates, MessageMeter totals, engine
-// stats, and exported trace event sequences (lane stamps included) must
-// be bit-identical for num_threads in {1, 2, 4, 8} — clean runs,
-// fault-injected runs, hedged runs, and budget-cut partial runs alike.
-// Also checks the serial path (num_threads == 0) emits no lane fields,
-// so legacy traces stay byte-identical. Runs under ThreadSanitizer in
+// Acceptance battery for the walk executor: for the same seed and
+// options, estimates, MessageMeter totals, engine stats, and exported
+// trace event sequences (lane stamps included) must be bit-identical
+// for num_threads in {0, 1, 2, 4, 8} — clean runs, fault-injected runs,
+// hedged runs, and budget-cut partial runs alike. 0 and 1 run the walks
+// inline; 2, 4 and 8 on the worker pool. Runs under ThreadSanitizer in
 // CI (DIGEST_SANITIZE=thread).
 #include <gtest/gtest.h>
 
@@ -90,7 +89,7 @@ class StaticDriftWorkload : public Workload {
 };
 
 struct DriveConfig {
-  size_t num_threads = 1;
+  size_t num_threads = 0;
   bool with_faults = false;
   FaultPlanConfig faults;
   SchedulerKind scheduler = SchedulerKind::kPred;
@@ -110,12 +109,13 @@ struct DriveResult {
   SessionHealth health = SessionHealth::kHealthy;
   uint64_t outcome_total = 0;
   std::vector<std::string> trace;  ///< Normalized JSONL (seq stripped).
+  std::string jsonl;               ///< The full JSONL export.
   std::string diag_summary;        ///< SamplerDiag::SummaryJson().
 };
 
 /// Renders events as JSONL with the per-tracer `seq` stamp stripped.
 /// Everything from the sim-time stamp on is kept — including the lane
-/// field the parallel executor adds — so trace comparison covers event
+/// field the walk executor adds — so trace comparison covers event
 /// kind, payload, ordering, AND lane attribution.
 std::vector<std::string> NormalizeTrace(
     const std::vector<obs::TraceEvent>& events) {
@@ -189,6 +189,10 @@ Result<DriveResult> Drive(const DriveConfig& cfg) {
         engine->supervisor().outcome_count(static_cast<SnapshotOutcome>(i));
   }
   out.trace = NormalizeTrace(tracer.events());
+  for (const obs::TraceEvent& event : tracer.events()) {
+    out.jsonl += obs::EventToJsonLine(event);
+    out.jsonl += '\n';
+  }
   out.diag_summary = diag.SummaryJson();
   return out;
 }
@@ -253,13 +257,13 @@ FaultPlanConfig HeavyStallFaults() {
 
 TEST(ParallelDeterminismTest, CleanRunBitIdenticalAcrossThreadCounts) {
   DriveConfig cfg;  // No faults: the pure walk/estimator pipeline.
-  cfg.num_threads = 1;
+  cfg.num_threads = 0;
   Result<DriveResult> reference = Drive(cfg);
   ASSERT_TRUE(reference.ok()) << reference.status().message();
   // The diagnostics actually watched walks (not a vacuous comparison).
   EXPECT_EQ(reference->diag_summary.find("\"batches\":0,"),
             std::string::npos);
-  for (size_t threads : {2u, 4u, 8u}) {
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     cfg.num_threads = threads;
     Result<DriveResult> run = Drive(cfg);
@@ -274,12 +278,12 @@ TEST(ParallelDeterminismTest, FaultedRunBitIdenticalAcrossThreadCounts) {
   cfg.faults = ModerateFaults();
   cfg.scheduler = SchedulerKind::kAll;
   cfg.allow_partial = true;
-  cfg.num_threads = 1;
+  cfg.num_threads = 0;
   Result<DriveResult> reference = Drive(cfg);
   ASSERT_TRUE(reference.ok()) << reference.status().message();
   // The faulted path really ran (retries/losses appear in the trace).
   EXPECT_GT(reference->meter.losses(), 0u);
-  for (size_t threads : {2u, 4u, 8u}) {
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     cfg.num_threads = threads;
     Result<DriveResult> run = Drive(cfg);
@@ -302,13 +306,13 @@ TEST(ParallelDeterminismTest,
   cfg.allow_partial = true;
   cfg.hop_budget_factor = 2.0;
   cfg.ticks = 30;
-  cfg.num_threads = 1;
+  cfg.num_threads = 0;
   Result<DriveResult> reference = Drive(cfg);
   ASSERT_TRUE(reference.ok()) << reference.status().message();
   // The stress configuration exercised the interesting paths.
   EXPECT_GT(reference->stats.partial_snapshots, 0u);
   EXPECT_TRUE(TraceContains(*reference, "hop_budget_exhausted"));
-  for (size_t threads : {2u, 4u, 8u}) {
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     cfg.num_threads = threads;
     Result<DriveResult> run = Drive(cfg);
@@ -317,27 +321,25 @@ TEST(ParallelDeterminismTest,
   }
 }
 
-TEST(ParallelDeterminismTest, ParallelTraceCarriesLanesSerialDoesNot) {
-  // Walk-scoped events in parallel mode carry the deterministic lane
-  // (walk index); the legacy serial path must stay byte-identical to
-  // pre-parallel releases, i.e. no lane field anywhere.
+TEST(ParallelDeterminismTest, InlineTraceCarriesLanesIdenticalToPooled) {
+  // Walk-scoped events carry their walk index as the lane at every
+  // thread count, and the whole JSONL export at 0 threads (inline) is
+  // byte-identical to the one at 2 (worker pool).
   DriveConfig cfg;
   cfg.with_faults = true;
   cfg.faults = ModerateFaults();
   cfg.num_threads = 0;
-  Result<DriveResult> serial = Drive(cfg);
-  ASSERT_TRUE(serial.ok()) << serial.status().message();
-  for (const std::string& line : serial->trace) {
-    ASSERT_EQ(line.find("\"lane\":"), std::string::npos) << line;
-  }
-  cfg.num_threads = 2;
-  Result<DriveResult> parallel = Drive(cfg);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().message();
+  Result<DriveResult> inline_run = Drive(cfg);
+  ASSERT_TRUE(inline_run.ok()) << inline_run.status().message();
   size_t laned = 0;
-  for (const std::string& line : parallel->trace) {
+  for (const std::string& line : inline_run->trace) {
     if (line.find("\"lane\":") != std::string::npos) ++laned;
   }
   EXPECT_GT(laned, 0u);
+  cfg.num_threads = 2;
+  Result<DriveResult> pooled = Drive(cfg);
+  ASSERT_TRUE(pooled.ok()) << pooled.status().message();
+  EXPECT_EQ(inline_run->jsonl, pooled->jsonl);
 }
 
 // ---------------------------------------------------------------------
@@ -417,9 +419,9 @@ void ExpectOperatorRunsEqual(const OperatorRun& a, const OperatorRun& b) {
 }
 
 TEST(ParallelDeterminismTest, OperatorBatchesBitIdenticalClean) {
-  const OperatorRun reference = RunOperatorBatches(1, /*with_faults=*/false);
+  const OperatorRun reference = RunOperatorBatches(0, /*with_faults=*/false);
   EXPECT_EQ(reference.samples.size(), 6u * 12u);
-  for (size_t threads : {2u, 4u, 8u}) {
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ExpectOperatorRunsEqual(reference,
                             RunOperatorBatches(threads, false));
@@ -427,11 +429,11 @@ TEST(ParallelDeterminismTest, OperatorBatchesBitIdenticalClean) {
 }
 
 TEST(ParallelDeterminismTest, OperatorBatchesBitIdenticalUnderFaults) {
-  const OperatorRun reference = RunOperatorBatches(1, /*with_faults=*/true);
+  const OperatorRun reference = RunOperatorBatches(0, /*with_faults=*/true);
   // Faults really fired (otherwise this test proves nothing).
   EXPECT_GT(reference.meter.losses() + reference.telemetry.stalled_steps,
             0u);
-  for (size_t threads : {2u, 4u, 8u}) {
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ExpectOperatorRunsEqual(reference,
                             RunOperatorBatches(threads, true));
@@ -530,10 +532,10 @@ void ExpectNodeRunsEqual(const NodeDriveResult& a,
 }
 
 TEST(ParallelDeterminismTest, MultiQueryNodeBitIdenticalAcrossThreads) {
-  Result<NodeDriveResult> reference = DriveNode(1, 12, /*restore_at=*/0);
+  Result<NodeDriveResult> reference = DriveNode(0, 12, /*restore_at=*/0);
   ASSERT_TRUE(reference.ok()) << reference.status().message();
   EXPECT_GT(reference->coalesced_ticks, 0u);
-  for (size_t threads : {2u, 4u, 8u}) {
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     Result<NodeDriveResult> run = DriveNode(threads, 12, 0);
     ASSERT_TRUE(run.ok()) << run.status().message();
@@ -549,14 +551,14 @@ TEST(ParallelDeterminismTest, MultiQueryNodeBitIdenticalAcrossThreads) {
 
 TEST(ParallelDeterminismTest,
      MultiQueryNodeCheckpointRestoreBitIdenticalAcrossThreads) {
-  // The uninterrupted single-threaded run is the reference; every other
-  // run checkpoints mid-way, restores into a fresh node (at a different
-  // thread count), and must land on the same bits. Traces are not
+  // The uninterrupted inline run is the reference; every other run
+  // checkpoints mid-way, restores into a fresh node, and must land on
+  // the same bits at every thread count. Traces are not
   // compared here: the interrupted runs interleave checkpoint/restore
   // events and re-issue run_begin markers.
-  Result<NodeDriveResult> reference = DriveNode(1, 12, /*restore_at=*/0);
+  Result<NodeDriveResult> reference = DriveNode(0, 12, /*restore_at=*/0);
   ASSERT_TRUE(reference.ok()) << reference.status().message();
-  for (size_t threads : {1u, 2u, 4u}) {
+  for (size_t threads : {0u, 1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     Result<NodeDriveResult> run = DriveNode(threads, 12, /*restore_at=*/6);
     ASSERT_TRUE(run.ok()) << run.status().message();

@@ -1,9 +1,9 @@
-// Recovery battery for the parallel executor: a session checkpointed
-// while running on N threads must restore and replay bit-identically on
-// M threads, for any N, M >= 1 — the checkpoint captures per-batch
-// substream keys implicitly through the operator RNG stream, so thread
-// count is a pure execution detail, not session state. Runs under
-// ThreadSanitizer in CI (DIGEST_SANITIZE=thread).
+// Recovery battery for the walk executor: a session checkpointed while
+// running on N threads must restore and replay bit-identically on M
+// threads, for any N, M in {0, 1, 2, 4, 8} — the checkpoint captures
+// per-batch substream keys implicitly through the operator RNG stream,
+// so thread count is a pure execution detail, not session state. Runs
+// under ThreadSanitizer in CI (DIGEST_SANITIZE=thread).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -241,7 +241,7 @@ TEST(ParallelRecoveryStressTest, RestoreOntoDifferentThreadCountsClean) {
   cfg.num_threads = 4;
   Result<DriveResult> uninterrupted = Drive(cfg);
   ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().message();
-  for (size_t restore_threads : {1u, 2u, 4u, 8u}) {
+  for (size_t restore_threads : {0u, 1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("restore_threads=" + std::to_string(restore_threads));
     Result<DriveResult> recovered =
         Drive(cfg, /*kill_after=*/9, restore_threads);
@@ -259,7 +259,7 @@ TEST(ParallelRecoveryStressTest, RestoreOntoDifferentThreadCountsFaulted) {
   cfg.allow_partial = true;
   Result<DriveResult> uninterrupted = Drive(cfg);
   ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().message();
-  for (size_t restore_threads : {1u, 2u, 8u}) {
+  for (size_t restore_threads : {0u, 1u, 2u, 8u}) {
     SCOPED_TRACE("restore_threads=" + std::to_string(restore_threads));
     Result<DriveResult> recovered =
         Drive(cfg, /*kill_after=*/11, restore_threads);
@@ -278,9 +278,9 @@ TEST(ParallelRecoveryStressTest, KillAtEveryPhaseReplaysOnOtherCounts) {
   cfg.faults = ModerateFaults();
   Result<DriveResult> uninterrupted = Drive(cfg);
   ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().message();
-  const size_t restore_threads[] = {8, 1, 4};
-  const int kill_after[] = {0, 1, 17};
-  for (int i = 0; i < 3; ++i) {
+  const size_t restore_threads[] = {8, 1, 4, 0};
+  const int kill_after[] = {0, 1, 17, 5};
+  for (int i = 0; i < 4; ++i) {
     SCOPED_TRACE("kill_after=" + std::to_string(kill_after[i]) +
                  " restore_threads=" +
                  std::to_string(restore_threads[i]));

@@ -110,7 +110,7 @@ FaultPlanConfig PartitionFaults() {
 
 struct DriveConfig {
   bool breakers = true;    ///< false = ablated control.
-  size_t num_threads = 0;  ///< 0 = serial path.
+  size_t num_threads = 0;  ///< 0 and 1 run walks inline.
   int kill_after = -1;     ///< Checkpoint/kill/restore after this tick.
   size_t ticks = kTicks;
 };
@@ -271,13 +271,13 @@ TEST(PartitionTest, QuarantineAwareRoutingHoldsCoverageAblationBreaches) {
 
 TEST(PartitionTest, HealthStateBitIdenticalAcrossThreadCounts) {
   DriveConfig cfg;
-  cfg.num_threads = 1;
+  cfg.num_threads = 0;
   Result<DriveResult> reference = Drive(cfg);
   ASSERT_TRUE(reference.ok()) << reference.status().message();
   ASSERT_GT(reference->opens, 0u)
       << "no breaker ever opened: the comparison would be vacuous";
 
-  for (size_t threads : {4u, 8u}) {
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     cfg.num_threads = threads;
     Result<DriveResult> run = Drive(cfg);

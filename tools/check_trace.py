@@ -96,7 +96,7 @@ def check_jsonl(path):
                     f"{sorted(missing)}")
             extra = obj.keys() - EVENT_SCHEMA[name] - {"seq", "t", "event"}
             if "lane" in extra and name in LANE_EVENTS:
-                # Walk lane stamped by the parallel executor.
+                # Walk lane stamped by the walk executor.
                 extra.discard("lane")
                 lane = obj["lane"]
                 if not isinstance(lane, int) or lane < 0:
@@ -316,7 +316,7 @@ def check_metrics(path):
 
 def check_bench_prof(path):
     """Validates the `prof` object of a BENCH_*.json, including the
-    optional per-worker `tracks` section the parallel executor folds in:
+    optional per-worker `tracks` section the walk executor folds in:
     worker ids dense and ascending, every track's phase stats
     well-formed, and no track claiming more deterministic work (calls,
     items) than the main aggregate it was folded into."""
