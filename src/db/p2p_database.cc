@@ -51,6 +51,14 @@ size_t P2PDatabase::TotalTuples() const {
   return total;
 }
 
+bool P2PDatabase::Empty() const {
+  for (const auto& [node, store] : stores_) {
+    (void)node;
+    if (store.Size() > 0) return false;
+  }
+  return true;
+}
+
 std::vector<NodeId> P2PDatabase::Nodes() const {
   std::vector<NodeId> out;
   out.reserve(stores_.size());

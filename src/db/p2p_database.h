@@ -61,8 +61,12 @@ class P2PDatabase {
   /// directly as a sampling weight function).
   size_t ContentSize(NodeId node) const;
 
-  /// Total number of tuples in R across all nodes.
+  /// Total number of tuples in R across all nodes (scans every store).
   size_t TotalTuples() const;
+
+  /// True iff R holds no tuple. Stops at the first non-empty store,
+  /// where TotalTuples() == 0 would scan every store.
+  bool Empty() const;
 
   /// Ids of all nodes that currently have stores.
   std::vector<NodeId> Nodes() const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
 
 namespace digest {
 namespace diag {
@@ -30,19 +29,20 @@ void Field(std::string* out, const char* key, uint64_t value) {
 }  // namespace
 
 void SamplerDiag::FoldWalk(const WalkDiagBuffer& buffer) {
-  batch_visit_series_.push_back(buffer.visits);
+  batch_visits_.insert(batch_visits_.end(), buffer.visits.begin(),
+                       buffer.visits.end());
+  series_ends_.push_back(batch_visits_.size());
   batch_edges_.insert(batch_edges_.end(), buffer.probes.begin(),
                       buffer.probes.end());
   batch_edges_.insert(batch_edges_.end(), buffer.hops.begin(),
                       buffer.hops.end());
 }
 
-void SamplerDiag::FinishBatch(const Graph& graph,
-                              const std::function<double(NodeId)>& weight,
-                              uint64_t proposals, uint64_t accepted,
-                              obs::Tracer* tracer, obs::Registry* registry) {
+void SamplerDiag::FinishBatch(const WalkContext& context, uint64_t proposals,
+                              uint64_t accepted, obs::Tracer* tracer,
+                              obs::Registry* registry) {
   BatchDiagnostics d;
-  d.walks = batch_visit_series_.size();
+  d.walks = series_ends_.size();
   d.proposals = proposals;
   d.accepted = accepted;
   d.acceptance_rate =
@@ -51,33 +51,34 @@ void SamplerDiag::FinishBatch(const Graph& graph,
           : 0.0;
 
   // --- Stationary target, rebased on the current live membership. ---
-  // π(v) = w(v)/Σw over graph.LiveNodes(): a peer that left the overlay
-  // since the visits were recorded contributes no target mass, and its
-  // visits are pruned from the empirical histogram (but counted, so a
-  // churn-heavy run shows how much walk effort landed on dead peers).
-  const std::vector<NodeId> live = graph.LiveNodes();
-  d.live_peers = live.size();
-  std::map<NodeId, uint64_t> visit_counts;
-  for (const std::vector<NodeId>& series : batch_visit_series_) {
-    d.steps += series.size();
-    for (const NodeId v : series) {
-      if (graph.HasNode(v)) {
-        ++visit_counts[v];
-        ++d.live_visits;
-      } else {
-        ++d.dropped_dead_visits;
-      }
+  // π(v) = w(v)/Σw over the context's live nodes: a peer that left the
+  // overlay since the visits were recorded contributes no target mass,
+  // and its visits are pruned from the empirical histogram (but
+  // counted, so a churn-heavy run shows how much walk effort landed on
+  // dead peers). Every sum runs in ascending NodeId order.
+  const NodeId ids = context.NextId();
+  visit_counts_.assign(ids, 0);
+  d.steps = batch_visits_.size();
+  for (const NodeId v : batch_visits_) {
+    if (context.Live(v)) {
+      ++visit_counts_[v];
+      ++d.live_visits;
+    } else {
+      ++d.dropped_dead_visits;
     }
   }
   double total_weight = 0.0;
-  for (const NodeId v : live) total_weight += weight(v);
+  for (NodeId v = 0; v < ids; ++v) {
+    if (!context.Live(v)) continue;
+    ++d.live_peers;
+    total_weight += context.Weight(v);
+  }
   if (total_weight > 0.0 && d.live_visits > 0) {
     const double n = static_cast<double>(d.live_visits);
-    for (const NodeId v : live) {
-      const double target = weight(v) / total_weight;
-      const auto it = visit_counts.find(v);
-      const double empirical =
-          it == visit_counts.end() ? 0.0 : static_cast<double>(it->second) / n;
+    for (NodeId v = 0; v < ids; ++v) {
+      if (!context.Live(v)) continue;
+      const double target = context.Weight(v) / total_weight;
+      const double empirical = static_cast<double>(visit_counts_[v]) / n;
       d.tv_distance += 0.5 * std::fabs(empirical - target);
       if (target > 0.0) {
         const double gap = empirical - target;
@@ -98,12 +99,15 @@ void SamplerDiag::FinishBatch(const Graph& graph,
   std::vector<double> walk_means;
   std::vector<double> walk_vars;  // Sample variance, denominator n−1.
   double length_sum = 0.0;
-  for (const std::vector<NodeId>& series : batch_visit_series_) {
-    std::vector<double> x;
-    x.reserve(series.size());
-    for (const NodeId v : series) {
-      if (graph.HasNode(v)) x.push_back(weight(v));
+  std::vector<double> x;
+  size_t series_begin = 0;
+  for (const size_t series_end : series_ends_) {
+    x.clear();
+    for (size_t k = series_begin; k < series_end; ++k) {
+      const NodeId v = batch_visits_[k];
+      if (context.Live(v)) x.push_back(context.Weight(v));
     }
+    series_begin = series_end;
     const size_t n = x.size();
     if (n == 0) continue;
     double mean = 0.0;
@@ -154,23 +158,33 @@ void SamplerDiag::FinishBatch(const Graph& graph,
 
   // --- Per-peer / per-link message load and hot-peer detection. ---
   // Every probe and every accepted hop is one message over a concrete
-  // link; both endpoints carry it. Maps are ordered, so ties resolve to
-  // the smallest peer id deterministically.
-  std::map<NodeId, uint64_t> peer_load;
-  std::map<std::pair<NodeId, NodeId>, uint64_t> link_load;
+  // link; both endpoints carry it. Peers are scanned in ascending id
+  // order, so ties resolve to the smallest peer id deterministically;
+  // links are counted as distinct packed (min, max) keys.
+  size_t load_ids = ids;
   for (const auto& [from, to] : batch_edges_) {
-    ++peer_load[from];
-    ++peer_load[to];
-    ++link_load[{std::min(from, to), std::max(from, to)}];
+    load_ids = std::max<size_t>(load_ids, size_t{std::max(from, to)} + 1);
   }
-  d.loaded_peers = peer_load.size();
-  d.loaded_links = link_load.size();
+  peer_load_.assign(load_ids, 0);
+  link_keys_.clear();
+  for (const auto& [from, to] : batch_edges_) {
+    ++peer_load_[from];
+    ++peer_load_[to];
+    link_keys_.push_back(static_cast<uint64_t>(std::min(from, to)) << 32 |
+                         std::max(from, to));
+  }
+  std::sort(link_keys_.begin(), link_keys_.end());
+  d.loaded_links = static_cast<uint64_t>(
+      std::unique(link_keys_.begin(), link_keys_.end()) - link_keys_.begin());
   uint64_t total_touches = 0;
-  for (const auto& [peer, load] : peer_load) {
+  for (size_t peer = 0; peer < load_ids; ++peer) {
+    const uint64_t load = peer_load_[peer];
+    if (load == 0) continue;
+    ++d.loaded_peers;
     total_touches += load;
     if (load > d.max_load) {
       d.max_load = load;
-      d.hot_peer = peer;
+      d.hot_peer = static_cast<NodeId>(peer);
     }
   }
   d.mean_load = d.loaded_peers > 0 ? static_cast<double>(total_touches) /
@@ -253,12 +267,14 @@ void SamplerDiag::FinishBatch(const Graph& graph,
   tv_max_ = std::max(tv_max_, d.tv_distance);
 
   last_batch_ = d;
-  batch_visit_series_.clear();
+  batch_visits_.clear();
+  series_ends_.clear();
   batch_edges_.clear();
 }
 
 void SamplerDiag::Reset() {
-  batch_visit_series_.clear();
+  batch_visits_.clear();
+  series_ends_.clear();
   batch_edges_.clear();
   last_batch_ = BatchDiagnostics{};
   breach_since_read_ = false;

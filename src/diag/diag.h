@@ -2,12 +2,12 @@
 #define DIGEST_DIAG_DIAG_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/graph.h"
+#include "net/walk_context.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 
@@ -89,12 +89,14 @@ struct BatchDiagnostics {
 /// the current batch (walk-index order) and closes the batch with
 /// FinishBatch, which compares the empirical visit histogram against the
 /// degree-corrected stationary target π(v) = w(v)/Σw — computed over the
-/// graph's *current* live nodes, so joins and leaves rebase the target
-/// and visits to departed peers are pruned (counted, not silently
-/// dropped). Burn-in adequacy is scored from the per-walk scalar series
-/// xₜ = w(vₜ): pooled lag-1 autocorrelation, per-walk ESS, and the
-/// cross-walk Gelman–Rubin R̂. Message-load accounting (probes + hops)
-/// yields per-peer/per-link load and hot-peer detection.
+/// batch's WalkContext (the live nodes and weights the walks ran
+/// against, i.e. the current membership), so joins and leaves rebase
+/// the target and visits to departed peers are pruned (counted, not
+/// silently dropped). Burn-in adequacy is scored from the per-walk
+/// scalar series xₜ = w(vₜ): pooled lag-1 autocorrelation, per-walk
+/// ESS, and the cross-walk Gelman–Rubin R̂. Message-load accounting
+/// (probes + hops) yields per-peer/per-link load and hot-peer
+/// detection.
 ///
 /// Determinism contract (test-enforced): the class consumes no RNG and
 /// no wall clock; folding happens in walk-index order on one thread;
@@ -111,14 +113,14 @@ class SamplerDiag {
   /// depend on scheduling).
   void FoldWalk(const WalkDiagBuffer& buffer);
 
-  /// Closes the open batch: rebases the target on `graph`'s live nodes,
-  /// computes the mixing/load diagnostics, emits the four trace events
-  /// through `tracer` and updates the `diag.*` registry keys (either may
-  /// be null), and accumulates the run summary. `proposals`/`accepted`
-  /// are the batch's Metropolis counters from the walk telemetry.
-  void FinishBatch(const Graph& graph,
-                   const std::function<double(NodeId)>& weight,
-                   uint64_t proposals, uint64_t accepted, obs::Tracer* tracer,
+  /// Closes the open batch: rebases the target on the live nodes and
+  /// weights of `context` (the batch's snapshot), computes the
+  /// mixing/load diagnostics, emits the four trace events through
+  /// `tracer` and updates the `diag.*` registry keys (either may be
+  /// null), and accumulates the run summary. `proposals`/`accepted` are
+  /// the batch's Metropolis counters from the walk telemetry.
+  void FinishBatch(const WalkContext& context, uint64_t proposals,
+                   uint64_t accepted, obs::Tracer* tracer,
                    obs::Registry* registry);
 
   /// Diagnostics of the most recently finished batch.
@@ -157,8 +159,16 @@ class SamplerDiag {
   DiagOptions options_;
 
   // Open batch: raw per-walk records, in fold (walk-index) order.
-  std::vector<std::vector<NodeId>> batch_visit_series_;
+  // Visits of every folded walk back to back; series_ends_[k] is the
+  // end offset of walk k's series.
+  std::vector<NodeId> batch_visits_;
+  std::vector<size_t> series_ends_;
   std::vector<std::pair<NodeId, NodeId>> batch_edges_;
+
+  // FinishBatch working buffers, NodeId-indexed, reused across batches.
+  std::vector<uint64_t> visit_counts_;
+  std::vector<uint64_t> peer_load_;
+  std::vector<uint64_t> link_keys_;  // Packed (min, max) endpoint pairs.
 
   BatchDiagnostics last_batch_;
   bool breach_since_read_ = false;

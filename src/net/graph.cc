@@ -1,6 +1,7 @@
 #include "net/graph.h"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
 #include <string>
 
@@ -8,7 +9,13 @@ namespace digest {
 
 const std::vector<NodeId> Graph::kEmptyNeighbors;
 
+void Graph::Touch() {
+  static std::atomic<uint64_t> next_epoch{0};
+  epoch_ = next_epoch.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 NodeId Graph::AddNode() {
+  Touch();
   adjacency_.push_back(NodeEntry{true, {}});
   ++live_count_;
   return static_cast<NodeId>(adjacency_.size() - 1);
@@ -26,6 +33,7 @@ Status Graph::RemoveNode(NodeId id) {
   }
   adjacency_[id].neighbors.clear();
   adjacency_[id].live = false;
+  Touch();
   --live_count_;
   return Status::OK();
 }
@@ -40,6 +48,7 @@ Status Graph::AddEdge(NodeId a, NodeId b) {
   if (HasEdge(a, b)) {
     return Status::AlreadyExists("edge already present");
   }
+  Touch();
   adjacency_[a].neighbors.push_back(b);
   adjacency_[b].neighbors.push_back(a);
   ++edge_count_;
@@ -50,6 +59,7 @@ Status Graph::RemoveEdge(NodeId a, NodeId b) {
   if (!HasEdge(a, b)) {
     return Status::NotFound("edge not present");
   }
+  Touch();
   auto& la = adjacency_[a].neighbors;
   la.erase(std::find(la.begin(), la.end(), b));
   auto& lb = adjacency_[b].neighbors;

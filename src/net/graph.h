@@ -62,6 +62,14 @@ class Graph {
   /// Total ids ever allocated (live + dead); ids are < NextId().
   NodeId NextId() const { return static_cast<NodeId>(adjacency_.size()); }
 
+  /// Mutation counter of the structure. Every AddNode, RemoveNode,
+  /// AddEdge and RemoveEdge draws a fresh value from one process-wide
+  /// sequence, so two graphs (or one graph at two moments) with equal
+  /// epochs have equal nodes and neighbour lists. A copy keeps its
+  /// source's epoch. WalkContext keys its CSR adjacency on it and
+  /// rebuilds only after churn.
+  uint64_t epoch() const { return epoch_; }
+
   /// All live node ids, ascending.
   std::vector<NodeId> LiveNodes() const;
 
@@ -84,9 +92,13 @@ class Graph {
     std::vector<NodeId> neighbors;
   };
 
+  // Draws the next value of the process-wide epoch sequence.
+  void Touch();
+
   std::vector<NodeEntry> adjacency_;
   size_t live_count_ = 0;
   size_t edge_count_ = 0;
+  uint64_t epoch_ = 0;  // 0: never mutated (the empty graph).
   static const std::vector<NodeId> kEmptyNeighbors;
 };
 

@@ -14,8 +14,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -25,33 +23,6 @@ Rng::Rng(uint64_t seed) {
   // with overwhelming probability, but guard anyway.
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) {
     state_[0] = 0x1ULL;
-  }
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-uint64_t Rng::NextIndex(uint64_t bound) {
-  // Lemire-style rejection sampling.
-  if (bound == 0) return 0;
-  uint64_t threshold = (-bound) % bound;
-  while (true) {
-    uint64_t r = NextU64();
-    if (r >= threshold) return r % bound;
   }
 }
 
@@ -75,12 +46,6 @@ double Rng::NextGaussian() {
   spare_gaussian_ = v * mul;
   has_spare_gaussian_ = true;
   return u * mul;
-}
-
-bool Rng::NextBernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return NextDouble() < p;
 }
 
 double Rng::NextExponential(double lambda) {

@@ -18,15 +18,51 @@ class Rng {
   /// Seeds the generator; equal seeds produce equal streams.
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
+  // The draws the walk kernel makes on every hop (NextU64, NextDouble,
+  // NextBernoulli, NextIndex) are defined in the header so they inline.
+
   /// Next raw 64-bit value.
-  uint64_t NextU64();
+  uint64_t NextU64() {
+    const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    // 53 high bits -> double in [0, 1).
+    return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
+  }
 
-  /// Uniform integer in [0, bound). `bound` must be > 0. Uses rejection to
-  /// avoid modulo bias.
-  uint64_t NextIndex(uint64_t bound);
+  /// Uniform integer in [0, bound). `bound` must be > 0 (0 returns 0 and
+  /// draws nothing). Uses rejection to avoid modulo bias.
+  uint64_t NextIndex(uint64_t bound) {
+    return NextIndex(bound, IndexThreshold(bound));
+  }
+
+  /// NextIndex with the rejection threshold precomputed by the caller:
+  /// `threshold` must equal IndexThreshold(bound). Draws exactly the
+  /// same stream as NextIndex(bound) without its per-call division —
+  /// the walk kernel caches one threshold per node degree.
+  uint64_t NextIndex(uint64_t bound, uint64_t threshold) {
+    if (bound == 0) return 0;
+    while (true) {
+      const uint64_t r = NextU64();
+      if (r >= threshold) return r % bound;
+    }
+  }
+
+  /// Rejection threshold of NextIndex(bound): 2^64 mod bound, the count
+  /// of low raw values that would bias `r % bound`.
+  static uint64_t IndexThreshold(uint64_t bound) {
+    return bound == 0 ? 0 : (-bound) % bound;
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int64_t NextInt(int64_t lo, int64_t hi);
@@ -40,7 +76,11 @@ class Rng {
   }
 
   /// True with probability `p` (clamped to [0,1]).
-  bool NextBernoulli(double p);
+  bool NextBernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return NextDouble() < p;
+  }
 
   /// Exponential variate with rate `lambda` (> 0).
   double NextExponential(double lambda);
@@ -101,6 +141,10 @@ class Rng {
   }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
   bool has_spare_gaussian_ = false;
   double spare_gaussian_ = 0.0;

@@ -4,15 +4,6 @@
 
 namespace digest {
 
-double MetropolisAcceptance(double weight_i, size_t degree_i, double weight_j,
-                            size_t degree_j) {
-  if (weight_j <= 0.0) return 0.0;  // Never move onto zero-weight nodes.
-  if (weight_i <= 0.0) return 1.0;  // Always escape zero-weight nodes.
-  const double ratio = (weight_j * static_cast<double>(degree_i)) /
-                       (weight_i * static_cast<double>(degree_j));
-  return ratio >= 1.0 ? 1.0 : ratio;
-}
-
 Result<ForwardingMatrix> BuildForwardingMatrix(const Graph& graph,
                                                const WeightFn& weight,
                                                double laziness) {

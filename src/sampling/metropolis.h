@@ -20,8 +20,14 @@ namespace digest {
 /// global normalization — which is what makes the operator fully
 /// distributed (§V-A). Zero-weight targets are never accepted; a
 /// zero-weight current node always accepts (escapes immediately).
-double MetropolisAcceptance(double weight_i, size_t degree_i, double weight_j,
-                            size_t degree_j);
+inline double MetropolisAcceptance(double weight_i, size_t degree_i,
+                                   double weight_j, size_t degree_j) {
+  if (weight_j <= 0.0) return 0.0;  // Never move onto zero-weight nodes.
+  if (weight_i <= 0.0) return 1.0;  // Always escape zero-weight nodes.
+  const double ratio = (weight_j * static_cast<double>(degree_i)) /
+                       (weight_i * static_cast<double>(degree_j));
+  return ratio >= 1.0 ? 1.0 : ratio;
+}
 
 /// Dense forwarding matrix of the lazy Metropolis walk over the live
 /// nodes of `graph`, for spectral/convergence analysis (Theorems 1–3):

@@ -26,7 +26,7 @@ uint64_t SatAdd(uint64_t a, uint64_t b) {
 // (receiver, delivered) outcome lands in `health` (may be null) — the
 // raw evidence the peer-health monitor accrues suspicion from.
 bool TryDeliver(FaultPlan& faults, const RetryPolicy& retry, NodeId from,
-                NodeId to, MessageMeter* meter, WalkTelemetry* telemetry,
+                NodeId to, MessageMeter* meter, WalkTelemetry& telemetry,
                 WalkHealthBuffer* health) {
   const bool blackholed = faults.IsBlackholed(to);
   for (size_t attempt = 1;; ++attempt) {
@@ -37,7 +37,7 @@ bool TryDeliver(FaultPlan& faults, const RetryPolicy& retry, NodeId from,
     }
     if (health != nullptr) health->RecordFailure(to);
     if (meter != nullptr) meter->AddLoss();
-    if (telemetry != nullptr) ++telemetry->losses;
+    ++telemetry.losses;
     if (attempt >= retry.max_attempts) return false;
     // Retransmit after the deterministic backoff delay. A cost that
     // saturated to UINT64_MAX is a wait no hop budget could ever
@@ -47,50 +47,33 @@ bool TryDeliver(FaultPlan& faults, const RetryPolicy& retry, NodeId from,
     const uint64_t cost = retry.BackoffCost(attempt);
     if (cost == UINT64_MAX) return false;
     if (meter != nullptr) meter->AddRetry();
-    if (telemetry != nullptr) {
-      ++telemetry->retries;
-      telemetry->attempts = SatAdd(telemetry->attempts, cost);
-      telemetry->backoff_units = SatAdd(telemetry->backoff_units, cost);
-    }
+    ++telemetry.retries;
+    telemetry.attempts = SatAdd(telemetry.attempts, cost);
+    telemetry.backoff_units = SatAdd(telemetry.backoff_units, cost);
   }
-}
-
-// Neighbors of `node` that are not quarantined — the node's degree in
-// the subgraph induced by live nodes.
-size_t LiveDegree(const Graph& graph, NodeId node,
-                  const QuarantineView& quarantine) {
-  size_t live = 0;
-  for (NodeId n : graph.Neighbors(node)) {
-    if (!quarantine.Quarantined(n)) ++live;
-  }
-  return live;
 }
 
 }  // namespace
 
-Status RandomWalk::Step(const Graph& graph, const WeightFn& weight, Rng& rng,
-                        MessageMeter* meter, NodeId fallback,
-                        FaultPlan* faults, const RetryPolicy* retry,
-                        WalkTelemetry* telemetry,
-                        diag::WalkDiagBuffer* diag,
-                        const QuarantineView* quarantine,
-                        WalkHealthBuffer* health) {
-  static const RetryPolicy kDefaultRetry;
-  if (faults != nullptr && retry == nullptr) retry = &kDefaultRetry;
-  if (telemetry != nullptr) ++telemetry->attempts;
-  if (!graph.HasNode(current_)) {
+Status RandomWalk::Step(const WalkContext& context, Rng& rng, WalkIo& io) {
+  WalkTelemetry& telemetry = io.telemetry;
+  MessageMeter* const meter = io.meter;
+  FaultPlan* const faults = io.faults;
+  WalkHealthBuffer* const health = io.health;
+  ++telemetry.attempts;
+  if (!context.Live(current_)) {
     // The node hosting the agent left the network; the originator
     // restarts the agent (one message to re-inject it).
-    if (!graph.HasNode(fallback)) {
+    if (!context.Live(context.fallback())) {
       return Status::Unavailable("walk origin left the network");
     }
-    current_ = fallback;
+    current_ = context.fallback();
     if (meter != nullptr) meter->AddWalkHop();
   }
   if (faults != nullptr && faults->IsBlackholed(current_)) {
     // The host is stalled: the agent is frozen until the node wakes up.
     // A frozen step is also health evidence against the host.
-    if (telemetry != nullptr) ++telemetry->stalled_steps;
+    ++telemetry.stalled_steps;
     if (health != nullptr) health->RecordFailure(current_);
     return Status::OK();
   }
@@ -99,79 +82,67 @@ Status RandomWalk::Step(const Graph& graph, const WeightFn& weight, Rng& rng,
   if (laziness_ > 0.0 && rng.NextBernoulli(laziness_)) {
     return Status::OK();
   }
-  const size_t degree = graph.Degree(current_);
-  if (degree == 0) {
-    // Isolated node (transiently possible under churn): stay.
+  const WalkContext::Row& here = context.row(current_);
+  if (here.bound == 0) {
+    // Isolated node (transiently possible under churn), or every
+    // neighbor is quarantined: hold position this step (the next batch
+    // routes against a fresh view).
     return Status::OK();
   }
-  // Quarantine-aware routing: with a non-empty quarantine view, the
-  // proposal is uniform over the LIVE (non-quarantined) neighbors and
-  // both degree corrections below use live degrees — the walk becomes
-  // the Metropolis chain on the induced live subgraph, whose stationary
-  // distribution is the same weight target restricted to live nodes.
-  // An empty view must draw through graph.RandomNeighbor exactly, so an
-  // attached-but-idle monitor stays bit-identical to no monitor.
-  const bool routed = quarantine != nullptr && quarantine->Any();
+  // The proposal is uniform over the node's support: all neighbors, or
+  // under a non-empty quarantine view the live (non-quarantined) ones,
+  // whose live degrees are then both corrections below.
+  const NodeId* neighbors = context.neighbors(here);
+  uint64_t pick = rng.NextIndex(here.bound, here.threshold);
   NodeId proposal = kInvalidNode;
-  size_t degree_i = degree;
-  if (routed) {
-    const size_t live = LiveDegree(graph, current_, *quarantine);
-    if (live == 0) {
-      // Every neighbor is quarantined: hold position this step (the
-      // next batch routes against a fresh view).
-      return Status::OK();
-    }
-    degree_i = live;
-    size_t pick = rng.NextIndex(live);
-    for (NodeId n : graph.Neighbors(current_)) {
-      if (quarantine->Quarantined(n)) continue;
+  if (!context.routed()) {
+    proposal = neighbors[pick];
+  } else {
+    for (uint32_t k = 0; k < here.degree; ++k) {
+      if (context.row(neighbors[k]).quarantined) continue;
       if (pick == 0) {
-        proposal = n;
+        proposal = neighbors[k];
         break;
       }
       --pick;
     }
-  } else {
-    DIGEST_ASSIGN_OR_RETURN(proposal, graph.RandomNeighbor(current_, rng));
   }
   // Probing the neighbor's weight costs one message (charged whether or
   // not the transmission survives — the sender pays for the send).
   if (meter != nullptr) meter->AddWeightProbe();
-  if (telemetry != nullptr) ++telemetry->proposals;
-  if (diag != nullptr) diag->RecordProbe(current_, proposal);
+  ++telemetry.proposals;
+  if (io.diag != nullptr) io.diag->RecordProbe(current_, proposal);
   if (faults != nullptr) {
-    if (!TryDeliver(*faults, *retry, current_, proposal, meter, telemetry,
-                    health)) {
+    if (!TryDeliver(*faults, context.retry(), current_, proposal, meter,
+                    telemetry, health)) {
       // Probe never answered within the retry budget: abandon the
       // transition, the agent stays put.
-      if (telemetry != nullptr) ++telemetry->abandoned;
+      ++telemetry.abandoned;
       return Status::OK();
     }
   } else if (health != nullptr) {
     health->RecordSuccess(proposal);
   }
-  double proposal_weight = weight(proposal);
+  const WalkContext::Row& there = context.row(proposal);
+  double proposal_weight = there.weight;
   if (faults != nullptr && faults->StaleProbe()) {
     // The probe was answered from a stale cache: the acceptance test
     // sees a distorted weight. The chain's target distribution bends
     // accordingly — degradation the widened intervals account for.
     proposal_weight = faults->DistortWeight(proposal_weight);
-    if (telemetry != nullptr) ++telemetry->stale_probes;
+    ++telemetry.stale_probes;
   }
-  const size_t degree_j = routed
-                              ? LiveDegree(graph, proposal, *quarantine)
-                              : graph.Degree(proposal);
-  const double accept = MetropolisAcceptance(weight(current_), degree_i,
-                                             proposal_weight, degree_j);
+  const double accept = MetropolisAcceptance(here.weight, here.bound,
+                                             proposal_weight, there.bound);
   if (rng.NextBernoulli(accept)) {
     if (meter != nullptr) meter->AddWalkHop();
-    if (telemetry != nullptr) ++telemetry->accepted;
-    if (diag != nullptr) diag->RecordHop(current_, proposal);
+    ++telemetry.accepted;
+    if (io.diag != nullptr) io.diag->RecordHop(current_, proposal);
     if (faults != nullptr) {
-      if (!TryDeliver(*faults, *retry, current_, proposal, meter,
+      if (!TryDeliver(*faults, context.retry(), current_, proposal, meter,
                       telemetry, health)) {
         // Forward message abandoned: the agent never left.
-        if (telemetry != nullptr) ++telemetry->abandoned;
+        ++telemetry.abandoned;
         return Status::OK();
       }
       if (faults->DropAgent()) {
@@ -180,12 +151,12 @@ Status RandomWalk::Step(const Graph& graph, const WeightFn& weight, Rng& rng,
         // recovery as a churn-stranded agent, except the walk must
         // re-mix (the caller extends its remaining steps).
         if (meter != nullptr) meter->AddAgentRestart();
-        if (telemetry != nullptr) ++telemetry->drops;
-        if (!graph.HasNode(fallback)) {
+        ++telemetry.drops;
+        if (!context.Live(context.fallback())) {
           return Status::Unavailable(
               "dropped agent's origin left the network");
         }
-        current_ = fallback;
+        current_ = context.fallback();
         return Status::OK();
       }
     } else if (health != nullptr) {
@@ -196,17 +167,11 @@ Status RandomWalk::Step(const Graph& graph, const WeightFn& weight, Rng& rng,
   return Status::OK();
 }
 
-Status RandomWalk::Advance(const Graph& graph, const WeightFn& weight,
-                           Rng& rng, MessageMeter* meter, NodeId fallback,
-                           size_t steps, WalkTelemetry* telemetry,
-                           diag::WalkDiagBuffer* diag,
-                           const QuarantineView* quarantine,
-                           WalkHealthBuffer* health) {
+Status RandomWalk::Advance(const WalkContext& context, Rng& rng, WalkIo& io,
+                           size_t steps) {
   for (size_t i = 0; i < steps; ++i) {
-    DIGEST_RETURN_IF_ERROR(Step(graph, weight, rng, meter, fallback,
-                                /*faults=*/nullptr, /*retry=*/nullptr,
-                                telemetry, diag, quarantine, health));
-    if (diag != nullptr) diag->RecordVisit(current_);
+    DIGEST_RETURN_IF_ERROR(Step(context, rng, io));
+    if (io.diag != nullptr) io.diag->RecordVisit(current_);
   }
   return Status::OK();
 }

@@ -7,8 +7,8 @@
 #include "net/fault_plan.h"
 #include "net/graph.h"
 #include "net/message_meter.h"
+#include "net/walk_context.h"
 #include "numeric/rng.h"
-#include "sampling/weight.h"
 
 namespace digest {
 
@@ -16,7 +16,6 @@ namespace diag {
 struct WalkDiagBuffer;
 }  // namespace diag
 
-class QuarantineView;
 struct WalkHealthBuffer;
 
 /// Per-call accounting of a walk, accumulated across Steps (fault-free
@@ -39,6 +38,28 @@ struct WalkTelemetry {
   uint64_t hedge_wins = 0;     ///< Hedges that delivered before the primary.
 };
 
+/// The mutable side of one walk: where an agent's Steps write. Each
+/// walk of a batch owns one, while the batch's WalkContext (the
+/// read-only side) is shared by all of them.
+struct WalkIo {
+  /// Accumulated by every Step.
+  WalkTelemetry telemetry;
+  /// Message accounting; null skips it.
+  MessageMeter* meter = nullptr;
+  /// The walk's fault substream; null is the clean path. Lost messages
+  /// are retransmitted per the context's RetryPolicy.
+  FaultPlan* faults = nullptr;
+  /// Records each weight probe, accepted hop and (in Advance) visit for
+  /// the sampler diagnostics; null is the fast path. It consumes no
+  /// randomness, so instrumented and uninstrumented runs are
+  /// bit-identical.
+  diag::WalkDiagBuffer* diag = nullptr;
+  /// Records each transmission's (peer, delivered) outcome for the
+  /// peer-health monitor to fold after the batch; consumes no
+  /// randomness. May be null.
+  WalkHealthBuffer* health = nullptr;
+};
+
 /// A sampling agent: a lazy Metropolis random walk over the overlay
 /// (paper §V). One Step is:
 ///
@@ -48,18 +69,33 @@ struct WalkTelemetry {
 ///      weight (one message), and move there with probability
 ///      min(1, (w_j·d_i)/(w_i·d_j)) — one message per actual move.
 ///
-/// The walk survives churn: if the current node disappears from the
-/// graph, the next Step restarts from the given fallback node.
+/// Steps read the overlay only through a WalkContext: the batch's
+/// snapshot of adjacency (CSR, Graph::Neighbors order), liveness,
+/// weights and cached draw thresholds. The neighbour draw is the same
+/// Rng::NextIndex rejection loop over the same neighbour order that
+/// Graph::RandomNeighbor makes, so the walk's RNG stream does not
+/// depend on whether the overlay is read through a snapshot.
 ///
-/// Under an attached FaultPlan the same transition is subject to message
-/// loss (probes and hops are retransmitted with exponential backoff up
-/// to RetryPolicy::max_attempts, then abandoned), stalled peers (a
-/// blackholed host freezes the agent; a blackholed neighbor never
-/// answers probes), stale weight probes (the acceptance test sees a
-/// distorted weight), and agent drops (the agent is lost in transit and
-/// restarts from the fallback node, like a churn-stranded agent). All
-/// fault randomness comes from the plan's own stream, so a plan with all
-/// rates zero leaves the walk bit-identical to the fault-free path.
+/// The walk survives churn: if the current node is dead in the context,
+/// the next Step restarts from the context's fallback node.
+///
+/// Under an attached FaultPlan (WalkIo::faults) the same transition is
+/// subject to message loss (probes and hops are retransmitted with
+/// exponential backoff up to RetryPolicy::max_attempts, then abandoned),
+/// stalled peers (a blackholed host freezes the agent; a blackholed
+/// neighbor never answers probes), stale weight probes (the acceptance
+/// test sees a distorted weight), and agent drops (the agent is lost in
+/// transit and restarts from the fallback node, like a churn-stranded
+/// agent). All fault randomness comes from the plan's own stream, so a
+/// plan with all rates zero leaves the walk bit-identical to the
+/// fault-free path.
+///
+/// With a non-empty quarantine view in the context, proposals are drawn
+/// uniformly over the NON-quarantined neighbors and both degree
+/// corrections in the acceptance test use live degrees — the walk is
+/// exactly the Metropolis chain on the subgraph induced by live nodes,
+/// so the stationary target over the live nodes is preserved (see the
+/// src/diag TV gate). An empty view draws exactly as no view.
 class RandomWalk {
  public:
   /// Starts a walk at `origin`. `laziness` is the per-step self-loop
@@ -73,47 +109,17 @@ class RandomWalk {
   /// Node the agent currently resides on.
   NodeId current() const { return current_; }
 
-  /// Executes one (lazy) Metropolis transition. `meter` may be null (no
-  /// accounting). Fails if both the current node and `fallback` are dead.
-  /// `faults`, `retry`, and `telemetry` may be null for the clean path;
-  /// with faults attached, `retry` governs retransmissions and
-  /// `telemetry` (if given) accumulates the fault accounting. `diag`
-  /// (normally null — the fast path) records the step's weight probe
-  /// and accepted-hop edges for the sampler diagnostics; it consumes no
-  /// randomness, so instrumented and uninstrumented runs are
-  /// bit-identical.
-  ///
-  /// `quarantine` (may be null) is the frozen per-batch quarantine view
-  /// from the peer-health monitor: proposals are drawn uniformly over
-  /// the NON-quarantined neighbors, and both degree corrections in the
-  /// acceptance test use live degrees — the walk is exactly the
-  /// Metropolis chain on the subgraph induced by live nodes, so the
-  /// stationary target over the live nodes is preserved (see the
-  /// src/diag TV gate). An empty view takes the legacy draw path,
-  /// bit-identical to an unmonitored run. `health` (may be null)
-  /// records each transmission's (peer, delivered) outcome for the
-  /// monitor to fold after the batch; it consumes no randomness.
-  Status Step(const Graph& graph, const WeightFn& weight, Rng& rng,
-              MessageMeter* meter, NodeId fallback,
-              FaultPlan* faults = nullptr, const RetryPolicy* retry = nullptr,
-              WalkTelemetry* telemetry = nullptr,
-              diag::WalkDiagBuffer* diag = nullptr,
-              const QuarantineView* quarantine = nullptr,
-              WalkHealthBuffer* health = nullptr);
+  /// Executes one (lazy) Metropolis transition against `context`,
+  /// drawing from `rng` and writing accounting to `io`. Fails if both
+  /// the current node and the context's fallback are dead.
+  Status Step(const WalkContext& context, Rng& rng, WalkIo& io);
 
-  /// Executes `steps` transitions (clean path only; fault-aware loops
-  /// live in SamplingOperator, which owns the hop budget). `telemetry`
-  /// may be null; when given it accumulates the observability counters
-  /// (attempts, proposals, accepted). `diag` (may be null) additionally
-  /// records the post-step position of every transition — the visit
-  /// histogram the diagnostics compare against the stationary target.
-  /// `quarantine`/`health` route and record exactly as in Step.
-  Status Advance(const Graph& graph, const WeightFn& weight, Rng& rng,
-                 MessageMeter* meter, NodeId fallback, size_t steps,
-                 WalkTelemetry* telemetry = nullptr,
-                 diag::WalkDiagBuffer* diag = nullptr,
-                 const QuarantineView* quarantine = nullptr,
-                 WalkHealthBuffer* health = nullptr);
+  /// Executes `steps` Steps and records the post-step position of each
+  /// in io.diag (if set) — the visit histogram the diagnostics compare
+  /// against the stationary target. Fault-aware loops live in
+  /// SamplingOperator, which owns the hop budget.
+  Status Advance(const WalkContext& context, Rng& rng, WalkIo& io,
+                 size_t steps);
 
  private:
   NodeId current_;

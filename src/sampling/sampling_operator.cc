@@ -89,7 +89,9 @@ SamplingOperator::SamplingOperator(const Graph* graph, WeightFn weight,
       weight_(std::move(weight)),
       rng_(rng),
       meter_(meter),
-      options_(options) {}
+      options_(options) {
+  context_.set_retry(options_.retry);
+}
 
 SamplingOperator::~SamplingOperator() = default;
 
@@ -158,7 +160,7 @@ Result<PartialBatch> SamplingOperator::SampleNodesPartial(NodeId origin,
 struct SamplingOperator::WalkSlot {
   size_t steps = 0;  // Planned steps (feeds the hedge statistics).
   NodeId final_pos = 0;
-  WalkTelemetry telemetry;
+  WalkIo io;  // Telemetry, plus pointers to the buffers below.
   MessageMeter meter;
   diag::WalkDiagBuffer diag;
   WalkHealthBuffer health;
@@ -191,7 +193,14 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
   // folds (which may flip breakers) happen only in the merge.
   const QuarantineView health_view =
       health_ != nullptr ? health_->SnapshotView() : QuarantineView();
-  const QuarantineView* qv = health_ != nullptr ? &health_view : nullptr;
+  // The walk kernel's read-only snapshot (DESIGN.md "Walk kernel"):
+  // adjacency rebuilt only if the graph churned since the last batch,
+  // weights, quarantine routing and draw thresholds refreshed now.
+  // Nothing writes it until the next batch, so the pool's threads share
+  // it unsynchronized.
+  context_.Refresh(*graph_, weight_,
+                   health_ != nullptr ? &health_view : nullptr);
+  context_.set_fallback(fallback);
   const size_t base = next_agent_;
   const size_t warm_pool =
       options_.warm_walks && agents_.size() > base ? agents_.size() - base : 0;
@@ -224,22 +233,24 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
   if (slots_.size() < n) slots_.resize(n);
 
   // The per-walk kernel. It reads only start-of-batch state (agent
-  // positions, hedge statistics, the graph), which nothing mutates
-  // until the merge.
+  // positions, hedge statistics, the walk context), which nothing
+  // mutates until the merge.
   const auto run_walk = [&](size_t i, prof::Track* track) -> Status {
     WalkSlot& out = slots_[i];
-    out.telemetry = WalkTelemetry();
     out.meter.Reset();
     out.diag.Clear();
     out.health.Clear();
     out.trace.payloads().clear();
     out.timed_out = false;
+    WalkIo& io = out.io;
+    io = WalkIo();
+    io.meter = meter_ != nullptr ? &out.meter : nullptr;
+    io.diag = diag_ != nullptr ? &out.diag : nullptr;
+    io.health = health_ != nullptr ? &out.health : nullptr;
+    WalkTelemetry& telemetry = io.telemetry;
     const bool is_warm = options_.warm_walks && base + i < agents_.size();
     out.steps = is_warm ? reset_len : walk_len;
     Rng walk_rng = substream_base.Split(2 * i);
-    MessageMeter* wm = meter_ != nullptr ? &out.meter : nullptr;
-    diag::WalkDiagBuffer* wd = diag_ != nullptr ? &out.diag : nullptr;
-    WalkHealthBuffer* wh = health_ != nullptr ? &out.health : nullptr;
     RandomWalk agent(is_warm ? agents_[base + i].current() : fallback,
                      options_.laziness);
     // One agent's stepping to convergence (cold mix or warm reset);
@@ -247,14 +258,14 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
     prof::ScopedTrackTimer advance_timer(track, prof::Phase::kWalkAdvance);
     if (faults_ == nullptr) {
       advance_timer.AddItems(out.steps);
-      DIGEST_RETURN_IF_ERROR(agent.Advance(*graph_, weight_, walk_rng, wm,
-                                           fallback, out.steps,
-                                           &out.telemetry, wd, qv, wh));
+      DIGEST_RETURN_IF_ERROR(
+          agent.Advance(context_, walk_rng, io, out.steps));
       out.final_pos = agent.current();
       return Status::OK();
     }
     FaultPlan sub = faults_->SpawnSubstream(
         substream_base.Split(2 * i + 1).NextU64());
+    io.faults = &sub;
     if (tracing) sub.SetTracer(&out.trace);
     if (faults_->profiler() != nullptr) sub.SetTrack(track);
     const uint64_t threshold = HedgeThreshold(out.steps);
@@ -272,7 +283,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
     uint64_t primary_spent = 0;  // Attempt units since the hedge launch.
     uint64_t hedge_spent = 0;
     while (remaining > 0) {
-      if (!hedged && threshold > 0 && out.telemetry.attempts >= threshold) {
+      if (!hedged && threshold > 0 && telemetry.attempts >= threshold) {
         // Straggler detected: launch the redundant walk. Injecting the
         // agent costs one message; its hops are charged as ordinary
         // walk hops as it steps. The duplicate forks from walk i-1's
@@ -284,21 +295,21 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
         const size_t donor = base + i - 1;
         const bool warm_donor = options_.warm_walks && base + i >= 1 &&
                                 donor < agents_.size() &&
-                                graph_->HasNode(agents_[donor].current());
+                                context_.Live(agents_[donor].current());
         hedge = RandomWalk(warm_donor ? agents_[donor].current() : fallback,
                            options_.laziness);
         hedge_remaining = warm_donor ? reset_len : walk_len;
         primary_spent = 0;
         hedge_spent = 0;
-        ++out.telemetry.hedges;
-        if (wm != nullptr) wm->AddHedgeLaunch();
+        ++telemetry.hedges;
+        if (io.meter != nullptr) io.meter->AddHedgeLaunch();
         if (tracing) {
           out.trace.Emit(
-              obs::WalkHedgedEvent{i, out.telemetry.attempts, threshold});
+              obs::WalkHedgedEvent{i, telemetry.attempts, threshold});
         }
       }
       advance_timer.AddItems(1);
-      if (out.telemetry.attempts >= budget) {
+      if (telemetry.attempts >= budget) {
         // This walk alone exhausted the pooled budget; whether the
         // BATCH times out is decided at the merge, in index order.
         out.timed_out = true;
@@ -307,19 +318,17 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
       const bool step_hedge = hedged && hedge_spent <= primary_spent;
       RandomWalk* walker = step_hedge ? &hedge : &agent;
       size_t* walker_remaining = step_hedge ? &hedge_remaining : &remaining;
-      const uint64_t drops_before = out.telemetry.drops;
-      const uint64_t attempts_before = out.telemetry.attempts;
-      DIGEST_RETURN_IF_ERROR(walker->Step(*graph_, weight_, walk_rng, wm,
-                                          fallback, &sub, &options_.retry,
-                                          &out.telemetry, wd, qv, wh));
-      if (wd != nullptr) wd->RecordVisit(walker->current());
-      const uint64_t spent = out.telemetry.attempts - attempts_before;
+      const uint64_t drops_before = telemetry.drops;
+      const uint64_t attempts_before = telemetry.attempts;
+      DIGEST_RETURN_IF_ERROR(walker->Step(context_, walk_rng, io));
+      if (io.diag != nullptr) io.diag->RecordVisit(walker->current());
+      const uint64_t spent = telemetry.attempts - attempts_before;
       if (step_hedge) {
         hedge_spent += spent;
       } else if (hedged) {
         primary_spent += spent;
       }
-      if (out.telemetry.drops > drops_before) {
+      if (telemetry.drops > drops_before) {
         // The walker was lost in transit and re-injected at the
         // origin: it must re-mix from cold before its position counts.
         *walker_remaining = walk_len;
@@ -332,13 +341,16 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
         // becomes the warm agent and the straggling primary is
         // abandoned mid-walk, its remaining hops never sent.
         agent = hedge;
-        ++out.telemetry.hedge_wins;
+        ++telemetry.hedge_wins;
         break;
       }
     }
     // The race resolved: the losing walk's eventual delivery is
     // suppressed at the originator — bandwidth spent, no sample.
-    if (hedged && !out.timed_out && wm != nullptr) wm->AddHedgedDuplicate();
+    if (hedged && !out.timed_out && io.meter != nullptr) {
+      io.meter->AddHedgedDuplicate();
+    }
+    io.faults = nullptr;  // `sub` dies with this call.
     out.fault_losses = sub.losses_injected();
     out.fault_drops = sub.drops_injected();
     out.fault_stale = sub.stale_injected();
@@ -403,7 +415,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
         tracer_->EmitLane(std::move(payload), static_cast<int64_t>(i));
       }
     }
-    MergeTelemetry(last_telemetry_, o.telemetry);
+    MergeTelemetry(last_telemetry_, o.io.telemetry);
     if (base + i < agents_.size()) {
       agents_[base + i] = RandomWalk(o.final_pos, options_.laziness);
     } else {
@@ -416,12 +428,12 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
     out.push_back(o.final_pos);
     if (diag_ != nullptr) diag_->FoldWalk(o.diag);
     if (health_ != nullptr) health_->FoldWalk(o.health);
-    cum_attempts += o.telemetry.attempts;
+    cum_attempts += o.io.telemetry.attempts;
     if (faults_ != nullptr) {
       // Completed-walk statistics feed later batches' straggler
       // thresholds.
       ++done_walks_;
-      done_attempts_ += o.telemetry.attempts;
+      done_attempts_ += o.io.telemetry.attempts;
       done_steps_ += o.steps;
     }
     // The agent reports the sampled node back to the originator.
@@ -453,7 +465,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
   }
   ObserveBatch(registry_, last_telemetry_, out.size(), cut);
   if (diag_ != nullptr) {
-    diag_->FinishBatch(*graph_, weight_, last_telemetry_.proposals,
+    diag_->FinishBatch(context_, last_telemetry_.proposals,
                        last_telemetry_.accepted, tracer_, registry_);
   }
   if (health_ != nullptr) health_->FinishBatch(graph_->NodeCount());

@@ -121,7 +121,8 @@ struct PartialBatch {
 ///
 /// The operator holds references to the graph (and through the weight
 /// function, usually the database); both must outlive it. Churn between
-/// invocations is handled: agents stranded on departed nodes restart
+/// invocations is handled: each batch snapshots the graph and weights
+/// into a WalkContext, and agents stranded on departed nodes restart
 /// from the origin.
 ///
 /// With a FaultPlan attached (SetFaultPlan), walks run under injected
@@ -252,6 +253,10 @@ class SamplingOperator {
 
   /// Core batch shared by SampleNodes / SampleNodesPartial. The two
   /// wrappers differ only in how a hop-budget timeout is reported.
+  /// Refreshes context_ (adjacency only after churn; weights, quarantine
+  /// routing and draw thresholds every batch) before any walk launches;
+  /// every walk then reads that one snapshot. The graph and the data the
+  /// weight function reads must not change while a batch runs.
   Result<PartialBatch> SampleBatch(NodeId origin, size_t n);
 
   /// Hedge straggler threshold in attempt units for an agent planned to
@@ -261,6 +266,10 @@ class SamplingOperator {
 
   const Graph* graph_;
   WeightFn weight_;
+  // The walk kernel's per-batch snapshot of graph_, weight_ and the
+  // quarantine view; its buffers (and its adjacency, until churn) are
+  // reused across batches.
+  WalkContext context_;
   Rng rng_;
   MessageMeter* meter_;
   SamplingOperatorOptions options_;

@@ -23,7 +23,7 @@ Result<std::vector<TupleSample>> TwoStageTupleSampler::SampleBatch(
 
 Result<PartialTupleBatch> TwoStageTupleSampler::SampleBatchPartial(
     NodeId origin, size_t n) {
-  if (db_->TotalTuples() == 0) {
+  if (db_->Empty()) {
     return Status::FailedPrecondition("relation R is empty");
   }
   PartialTupleBatch out;
@@ -75,8 +75,7 @@ Result<TupleSample> ExactTupleSampler::Sample() {
 }
 
 Result<std::vector<TupleSample>> ExactTupleSampler::SampleBatch(size_t n) {
-  const size_t total = db_->TotalTuples();
-  if (total == 0) {
+  if (db_->Empty()) {
     return Status::FailedPrecondition("relation R is empty");
   }
   // Content-size-weighted node pick followed by a uniform local pick is

@@ -115,7 +115,9 @@ ChurnDiagRun DriveChurnedBatches(diag::SamplerDiag* diag) {
   Rng rng(5);
   for (NodeId victim : graph.LiveNodes()) {
     if (victim == 0) continue;  // Keep the origin.
-    if (rng.NextBernoulli(0.6)) EXPECT_TRUE(graph.RemoveNode(victim).ok());
+    if (rng.NextBernoulli(0.6)) {
+      EXPECT_TRUE(graph.RemoveNode(victim).ok());
+    }
   }
   RepairConnectivity(graph, rng);
   run.live_after = graph.NodeCount();

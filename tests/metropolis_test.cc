@@ -242,15 +242,13 @@ TEST(QuarantineMetropolisTest, VisitHistogramMeetsStationaryTargetTV) {
 
   RandomWalk walk(/*origin=*/0);
   Rng rng(4242);
+  const WalkContext context(graph, weight, /*fallback=*/0, &view);
+  WalkIo io;
   std::vector<uint64_t> visits(graph.NodeCount(), 0);
   const size_t kBurnIn = 2000;
   const size_t kSteps = 300000;
   for (size_t i = 0; i < kBurnIn + kSteps; ++i) {
-    ASSERT_TRUE(walk.Step(graph, weight, rng, /*meter=*/nullptr,
-                          /*fallback=*/0, /*faults=*/nullptr,
-                          /*retry=*/nullptr, /*telemetry=*/nullptr,
-                          /*diag=*/nullptr, &view)
-                    .ok());
+    ASSERT_TRUE(walk.Step(context, rng, io).ok());
     if (i >= kBurnIn) ++visits[walk.current()];
   }
 
@@ -276,11 +274,11 @@ TEST(QuarantineMetropolisTest, VisitHistogramMeetsStationaryTargetTV) {
   // full graph — the restriction really is doing the re-weighting.
   RandomWalk free_walk(/*origin=*/0);
   Rng free_rng(4242);
+  const WalkContext free_context(graph, weight, /*fallback=*/0);
+  WalkIo free_io;
   std::vector<uint64_t> free_visits(graph.NodeCount(), 0);
   for (size_t i = 0; i < kBurnIn + kSteps; ++i) {
-    ASSERT_TRUE(free_walk
-                    .Step(graph, weight, free_rng, nullptr, 0)
-                    .ok());
+    ASSERT_TRUE(free_walk.Step(free_context, free_rng, free_io).ok());
     if (i >= kBurnIn) ++free_visits[free_walk.current()];
   }
   EXPECT_GT(free_visits[7], 0u);

@@ -154,7 +154,9 @@ TEST(ObsReconcileTest, ViewsAgreeOverFaultyRun) {
   uint64_t prev_seq = 0;
   for (const obs::TraceEvent& event : events) {
     EXPECT_GE(event.sim_time, prev_time);
-    if (&event != &events.front()) EXPECT_GT(event.seq, prev_seq);
+    if (&event != &events.front()) {
+      EXPECT_GT(event.seq, prev_seq);
+    }
     prev_time = std::max(prev_time, event.sim_time);
     prev_seq = event.seq;
   }

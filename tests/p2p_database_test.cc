@@ -33,6 +33,22 @@ TEST(P2PDatabaseTest, ContentSizeAndTotals) {
   EXPECT_EQ(db.Nodes().size(), 2u);
 }
 
+TEST(P2PDatabaseTest, EmptyTracksTuplesAcrossStores) {
+  P2PDatabase db = MakeDb();
+  EXPECT_TRUE(db.Empty());
+  ASSERT_TRUE(db.AddNode(0).ok());
+  ASSERT_TRUE(db.AddNode(5).ok());
+  EXPECT_TRUE(db.Empty());  // Stores, but no tuples.
+  const LocalTupleId id = db.StoreAt(5).value()->Insert({1.0, 2.0});
+  EXPECT_FALSE(db.Empty());
+  ASSERT_TRUE(db.StoreAt(5).value()->Erase(id).ok());
+  EXPECT_TRUE(db.Empty());
+  db.StoreAt(0).value()->Insert({3.0, 4.0});
+  EXPECT_FALSE(db.Empty());
+  ASSERT_TRUE(db.RemoveNode(0).ok());
+  EXPECT_TRUE(db.Empty());
+}
+
 TEST(P2PDatabaseTest, StoreAtMissingNodeFails) {
   P2PDatabase db = MakeDb();
   EXPECT_EQ(db.StoreAt(3).status().code(), StatusCode::kNotFound);

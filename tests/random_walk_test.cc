@@ -4,6 +4,7 @@
 
 #include "net/topology.h"
 #include "sampling/metropolis.h"
+#include "sampling/weight.h"
 
 namespace digest {
 namespace {
@@ -12,9 +13,11 @@ TEST(RandomWalkTest, StaysOnLiveNodes) {
   Rng rng(1);
   Result<Graph> g = MakeBarabasiAlbert(30, 2, rng);
   ASSERT_TRUE(g.ok());
+  const WalkContext context(*g, UniformWeight(), /*fallback=*/0);
+  WalkIo io;
   RandomWalk walk(0);
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(walk.Step(*g, UniformWeight(), rng, nullptr, 0).ok());
+    ASSERT_TRUE(walk.Step(context, rng, io).ok());
     ASSERT_TRUE(g->HasNode(walk.current()));
   }
 }
@@ -23,10 +26,12 @@ TEST(RandomWalkTest, MovesOnlyAlongEdges) {
   Rng rng(2);
   Result<Graph> g = MakeRing(10);
   ASSERT_TRUE(g.ok());
+  const WalkContext context(*g, UniformWeight(), /*fallback=*/3);
+  WalkIo io;
   RandomWalk walk(3);
   NodeId prev = walk.current();
   for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(walk.Step(*g, UniformWeight(), rng, nullptr, 3).ok());
+    ASSERT_TRUE(walk.Step(context, rng, io).ok());
     const NodeId cur = walk.current();
     EXPECT_TRUE(cur == prev || g->HasEdge(prev, cur));
     prev = cur;
@@ -38,10 +43,12 @@ TEST(RandomWalkTest, MeterCountsProbesAndHops) {
   Result<Graph> g = MakeComplete(8);
   ASSERT_TRUE(g.ok());
   MessageMeter meter;
+  const WalkContext context(*g, UniformWeight(), /*fallback=*/0);
+  WalkIo io;
+  io.meter = &meter;
   RandomWalk walk(0);
   const size_t steps = 1000;
-  ASSERT_TRUE(
-      walk.Advance(*g, UniformWeight(), rng, &meter, 0, steps).ok());
+  ASSERT_TRUE(walk.Advance(context, rng, io, steps).ok());
   // Lazy half the time: ~500 proposals, all accepted on a complete graph
   // with uniform weights.
   EXPECT_NEAR(static_cast<double>(meter.weight_probes()), 500.0, 100.0);
@@ -56,8 +63,11 @@ TEST(RandomWalkTest, RejectionsReduceHopsBelowProbes) {
   // Sharply nonuniform weight: many proposals get rejected.
   WeightFn weight = [](NodeId v) { return v == 0 ? 100.0 : 1.0; };
   MessageMeter meter;
+  const WalkContext context(*g, weight, /*fallback=*/0);
+  WalkIo io;
+  io.meter = &meter;
   RandomWalk walk(0);
-  ASSERT_TRUE(walk.Advance(*g, weight, rng, &meter, 0, 2000).ok());
+  ASSERT_TRUE(walk.Advance(context, rng, io, 2000).ok());
   EXPECT_LT(meter.walk_hops(), meter.weight_probes());
 }
 
@@ -68,7 +78,9 @@ TEST(RandomWalkTest, RestartsFromFallbackAfterCurrentNodeLeaves) {
   RandomWalk walk(2);
   // Remove the node under the agent.
   ASSERT_TRUE(g->RemoveNode(2).ok());
-  ASSERT_TRUE(walk.Step(*g, UniformWeight(), rng, nullptr, 4).ok());
+  const WalkContext context(*g, UniformWeight(), /*fallback=*/4);
+  WalkIo io;
+  ASSERT_TRUE(walk.Step(context, rng, io).ok());
   ASSERT_TRUE(g->HasNode(walk.current()));
 }
 
@@ -79,8 +91,9 @@ TEST(RandomWalkTest, FailsWhenFallbackAlsoDead) {
   RandomWalk walk(1);
   ASSERT_TRUE(g->RemoveNode(1).ok());
   ASSERT_TRUE(g->RemoveNode(2).ok());
-  EXPECT_EQ(walk.Step(*g, UniformWeight(), rng, nullptr, 2).code(),
-            StatusCode::kUnavailable);
+  const WalkContext context(*g, UniformWeight(), /*fallback=*/2);
+  WalkIo io;
+  EXPECT_EQ(walk.Step(context, rng, io).code(), StatusCode::kUnavailable);
 }
 
 TEST(RandomWalkTest, IsolatedNodeStays) {
@@ -88,7 +101,9 @@ TEST(RandomWalkTest, IsolatedNodeStays) {
   Graph g;
   g.AddNode();
   RandomWalk walk(0);
-  ASSERT_TRUE(walk.Step(g, UniformWeight(), rng, nullptr, 0).ok());
+  const WalkContext context(g, UniformWeight(), /*fallback=*/0);
+  WalkIo io;
+  ASSERT_TRUE(walk.Step(context, rng, io).ok());
   EXPECT_EQ(walk.current(), 0u);
 }
 
@@ -103,12 +118,14 @@ TEST(RandomWalkTest, LongRunVisitsMatchTargetDistribution) {
   ASSERT_TRUE(fm.ok());
 
   RandomWalk walk(0);
+  const WalkContext context(*g, weight, /*fallback=*/0);
+  WalkIo io;
   std::vector<double> visits(g->NextId(), 0.0);
   const int warmup = 2000;
   const int steps = 300000;
-  ASSERT_TRUE(walk.Advance(*g, weight, rng, nullptr, 0, warmup).ok());
+  ASSERT_TRUE(walk.Advance(context, rng, io, warmup).ok());
   for (int i = 0; i < steps; ++i) {
-    ASSERT_TRUE(walk.Step(*g, weight, rng, nullptr, 0).ok());
+    ASSERT_TRUE(walk.Step(context, rng, io).ok());
     visits[walk.current()] += 1.0;
   }
   std::vector<double> empirical(fm->nodes.size());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 #include <utility>
@@ -274,6 +275,140 @@ TEST(RngTest, SplitStreamsPassIndexUniformity) {
   for (int c : counts) {
     EXPECT_NEAR(c, 10000, 500);
   }
+}
+
+// Golden stream: the first outputs of each hot draw for one fixed seed.
+// The hot draws are inlined from the header; these constants were
+// recorded from the out-of-line implementation, so a change to the
+// stream (seeding, xoshiro256++ update, the double mapping, the
+// rejection loop) fails here instead of silently moving every seeded
+// result in the repository.
+constexpr uint64_t kGoldenSeed = 20080407;
+
+TEST(RngGoldenTest, NextU64Stream) {
+  const uint64_t golden[64] = {
+      0xfbae2343e5adce71ULL, 0xe5ce56a332798badULL, 0xc98d3138b8b5e8d0ULL,
+      0x3b5f0f69ff2bd67eULL, 0x3090ecbe6ef247c4ULL, 0x30914e0a3070720bULL,
+      0x88006dda9cdb5d46ULL, 0x87ccb3dac6a91bd1ULL, 0x83abac884a7021e2ULL,
+      0xa9cfb33e5a3cdaecULL, 0x58f9f681ad250eb5ULL, 0x2986e3af0674fe8dULL,
+      0xc10235fa3d7e1598ULL, 0x5cad9b43f95b2821ULL, 0xe8c575df7a5119aaULL,
+      0xba92d28a72219fd0ULL, 0x92b5f7650d892c88ULL, 0x94a212dfc1388aaaULL,
+      0x3f36f4a0cb2758ecULL, 0x92c10dbc3e3387c4ULL, 0xc5236aab3b4d9868ULL,
+      0x3d566c17c3152f64ULL, 0xe48efe6d2e39acefULL, 0x7fd6338af5d34899ULL,
+      0x6f8800c55b7c5382ULL, 0x7873d59a4126b499ULL, 0x3d03bfbc7f820d8bULL,
+      0x1b080f9a045ffd24ULL, 0xca59eec93b133bc3ULL, 0x62f05b77af8bf5e2ULL,
+      0xed75d77dbda69a45ULL, 0x7bad79db82da03caULL, 0x5372401b2f1bc06bULL,
+      0x64e8047c8b21a62bULL, 0x4b485a46c54f0215ULL, 0xbb32374bf820ccefULL,
+      0x4616865ad8a9f064ULL, 0xfbca7016264ce730ULL, 0x47c3ed510bfaae70ULL,
+      0x68d0ed0602347307ULL, 0x54101ef60589898aULL, 0x3d6e5e28609c9be8ULL,
+      0x72bad591782a4015ULL, 0xfd583299dbd33b41ULL, 0x5d0fae64ed90325bULL,
+      0x908736e26117043aULL, 0xc02ec43fec616a97ULL, 0x44b31a77d660d031ULL,
+      0x885533162819b4c9ULL, 0x249ef63694cd16d2ULL, 0x7f521506e4e217e7ULL,
+      0xe9e241dc2b196facULL, 0x89bc6841eba62752ULL, 0xdab7765605d90d92ULL,
+      0xfc0ef1aa32b7325aULL, 0x5f88d321b9b0d169ULL, 0x23ccdd89f35f83e1ULL,
+      0xfd47148452192305ULL, 0x5719fe35ff1b8aecULL, 0x8f946afbc37220ebULL,
+      0x07b3bce87d4e60a0ULL, 0x5564fa8cfeff4dd7ULL, 0x7dfc535039412c9aULL,
+      0x50dd9ddbb0a81eaaULL,
+  };
+  Rng rng(kGoldenSeed);
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(rng.NextU64(), golden[i]) << i;
+}
+
+TEST(RngGoldenTest, NextDoubleStream) {
+  // Bit patterns of the doubles, so the comparison is exact.
+  const uint64_t golden[64] = {
+      0x3fef75c4687cb5b9ULL, 0x3fecb9cad4664f31ULL, 0x3fe931a6271716bdULL,
+      0x3fcdaf87b4ff95e8ULL, 0x3fc848765f377920ULL, 0x3fc848a705183838ULL,
+      0x3fe1000dbb539b6bULL, 0x3fe0f9967b58d523ULL, 0x3fe0757591094e04ULL,
+      0x3fe539f667cb479bULL, 0x3fd63e7da06b4942ULL, 0x3fc4c371d7833a7cULL,
+      0x3fe82046bf47afc2ULL, 0x3fd72b66d0fe56caULL, 0x3fed18aebbef4a23ULL,
+      0x3fe7525a514e4433ULL, 0x3fe256beeca1b125ULL, 0x3fe294425bf82711ULL,
+      0x3fcf9b7a506593acULL, 0x3fe25821b787c670ULL, 0x3fe8a46d556769b3ULL,
+      0x3fceab360be18a94ULL, 0x3fec91dfcda5c735ULL, 0x3fdff58ce2bd74d2ULL,
+      0x3fdbe2003156df14ULL, 0x3fde1cf5669049acULL, 0x3fce81dfde3fc104ULL,
+      0x3fbb080f9a045ff8ULL, 0x3fe94b3dd9276267ULL, 0x3fd8bc16ddebe2fcULL,
+      0x3fedaebaefb7b4d3ULL, 0x3fdeeb5e76e0b680ULL, 0x3fd4dc9006cbc6f0ULL,
+      0x3fd93a011f22c868ULL, 0x3fd2d21691b153c0ULL, 0x3fe76646e97f0419ULL,
+      0x3fd185a196b62a7cULL, 0x3fef794e02c4c99cULL, 0x3fd1f0fb5442feaaULL,
+      0x3fda343b41808d1cULL, 0x3fd50407bd816262ULL, 0x3fceb72f14304e4cULL,
+      0x3fdcaeb5645e0a90ULL, 0x3fefab06533b7a67ULL, 0x3fd743eb993b640cULL,
+      0x3fe210e6dc4c22e0ULL, 0x3fe805d887fd8c2dULL, 0x3fd12cc69df59834ULL,
+      0x3fe10aa662c50336ULL, 0x3fc24f7b1b4a6688ULL, 0x3fdfd48541b93884ULL,
+      0x3fed3c483b85632dULL, 0x3fe1378d083d74c4ULL, 0x3feb56eecac0bb21ULL,
+      0x3fef81de354656e6ULL, 0x3fd7e234c86e6c34ULL, 0x3fc1e66ec4f9afc0ULL,
+      0x3fefa8e2908a4324ULL, 0x3fd5c67f8d7fc6e2ULL, 0x3fe1f28d5f786e44ULL,
+      0x3f9ecef3a1f53980ULL, 0x3fd5593ea33fbfd2ULL, 0x3fdf7f14d40e504aULL,
+      0x3fd4376776ec2a06ULL,
+  };
+  Rng rng(kGoldenSeed);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(rng.NextDouble()), golden[i]) << i;
+  }
+}
+
+TEST(RngGoldenTest, NextIndexStream) {
+  const uint64_t golden5[64] = {
+      3, 2, 2, 2, 2, 1, 1, 4, 0, 1, 2, 4, 3, 0, 2, 4,
+      0, 3, 2, 4, 1, 1, 2, 1, 2, 3, 2, 2, 2, 3, 2, 4,
+      1, 1, 1, 0, 1, 0, 1, 1, 3, 4, 0, 3, 4, 1, 2, 4,
+      0, 4, 4, 0, 1, 1, 0, 0, 1, 3, 0, 4, 0, 1, 0, 1,
+  };
+  Rng rng(kGoldenSeed);
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(rng.NextIndex(5), golden5[i]) << i;
+
+  // The threshold-taking twin draws the same stream.
+  Rng twin(kGoldenSeed);
+  const uint64_t threshold = Rng::IndexThreshold(5);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(twin.NextIndex(5, threshold), golden5[i]) << i;
+  }
+
+  const uint64_t golden7[16] = {
+      4, 6, 2, 4, 3, 5, 3, 6, 6, 0, 0, 5, 0, 0, 5, 2,
+  };
+  Rng rng7(kGoldenSeed);
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(rng7.NextIndex(7), golden7[i]) << i;
+
+  // A bound of 3·2^62 rejects every raw draw below 2^62, a quarter of
+  // them: this stream pins the rejection loop itself.
+  const uint64_t kBig = 0xc000000000000000ULL;
+  const uint64_t golden_big[16] = {
+      0x3bae2343e5adce71ULL, 0x25ce56a332798badULL, 0x098d3138b8b5e8d0ULL,
+      0x88006dda9cdb5d46ULL, 0x87ccb3dac6a91bd1ULL, 0x83abac884a7021e2ULL,
+      0xa9cfb33e5a3cdaecULL, 0x58f9f681ad250eb5ULL, 0x010235fa3d7e1598ULL,
+      0x5cad9b43f95b2821ULL, 0x28c575df7a5119aaULL, 0xba92d28a72219fd0ULL,
+      0x92b5f7650d892c88ULL, 0x94a212dfc1388aaaULL, 0x92c10dbc3e3387c4ULL,
+      0x05236aab3b4d9868ULL,
+  };
+  Rng big(kGoldenSeed);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(big.NextIndex(kBig), golden_big[i]) << i;
+  }
+  EXPECT_EQ(Rng::IndexThreshold(kBig), 0x4000000000000000ULL);
+}
+
+TEST(RngGoldenTest, NextBernoulliStream) {
+  // Bit i is outcome i of NextBernoulli(0.3).
+  const uint64_t golden_mask = 0x110282540c240838ULL;
+  Rng rng(kGoldenSeed);
+  uint64_t mask = 0;
+  for (int i = 0; i < 64; ++i) {
+    if (rng.NextBernoulli(0.3)) mask |= uint64_t{1} << i;
+  }
+  EXPECT_EQ(mask, golden_mask);
+}
+
+TEST(RngGoldenTest, InterleavedDrawsKeepTheirPlace) {
+  // 64 rounds of one NextU64, NextDouble, NextIndex(5) and
+  // NextBernoulli(0.3), then the next raw value.
+  Rng rng(kGoldenSeed);
+  for (int i = 0; i < 64; ++i) {
+    rng.NextU64();
+    rng.NextDouble();
+    rng.NextIndex(5);
+    rng.NextBernoulli(0.3);
+  }
+  EXPECT_EQ(rng.NextU64(), 0xd6819b590944e59bULL);
 }
 
 // Property sweep: uniformity of NextIndex across several bounds.
