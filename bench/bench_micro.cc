@@ -105,7 +105,7 @@ void BM_OperatorSample(benchmark::State& state) {
   Graph g = MakeBarabasiAlbert(size_t(state.range(0)), 3, topo_rng).value();
   SamplingOperator op(&g, UniformWeight(), Rng(5), nullptr);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(op.SampleNode(0));
+    benchmark::DoNotOptimize(op.SampleNodes(0, 1));
   }
 }
 BENCHMARK(BM_OperatorSample)->Arg(64)->Arg(512);

@@ -164,7 +164,7 @@ int Run(int argc, char** argv) {
       // Successive single-sample invocations: exactly the case the warm
       // continuation optimizes (only the first pays the mixing time).
       for (size_t i = 0; i < n; ++i) {
-        UnwrapOrDie(op.SampleNode(0), "SampleNode");
+        UnwrapOrDie(op.SampleNodes(0, 1), "SampleNodes");
       }
       table.AddRow({warm ? "warm (reset time)" : "cold (mixing time)",
                     FmtInt(n), FmtInt(meter.Total()),

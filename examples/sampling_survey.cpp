@@ -26,7 +26,7 @@ void Survey(const char* label, const Graph& graph, const WeightFn& weight,
   SamplingOperator op(&graph, weight, Rng(5), &meter);
   std::vector<double> counts(graph.NextId(), 0.0);
   for (size_t i = 0; i < samples; ++i) {
-    counts[op.SampleNode(0).value()] += 1.0;
+    counts[op.SampleNodes(0, 1).value().nodes.front()] += 1.0;
   }
   std::vector<double> empirical(fm.nodes.size());
   for (size_t r = 0; r < fm.nodes.size(); ++r) {

@@ -71,9 +71,7 @@ inline void AppendOperatorState(std::string* out,
     if (i > 0) *out += ',';
     AppendU64(out, s.agent_positions[i]);
   }
-  *out += "],\"next_agent\":";
-  AppendU64(out, s.next_agent);
-  *out += ",\"rng\":";
+  *out += "],\"rng\":";
   AppendRng(out, s.rng);
   *out += ",\"done_walks\":";
   AppendU64(out, s.done_walks);
@@ -121,7 +119,6 @@ inline Result<SamplingOperator::State> ParseOperatorState(
     DIGEST_ASSIGN_OR_RETURN(uint64_t node, p.AsUInt64());
     s.agent_positions.push_back(static_cast<NodeId>(node));
   }
-  DIGEST_ASSIGN_OR_RETURN(s.next_agent, v.GetUInt64("next_agent"));
   DIGEST_ASSIGN_OR_RETURN(const json::Value* rng, v.GetObject("rng"));
   DIGEST_ASSIGN_OR_RETURN(s.rng, ParseRng(*rng));
   DIGEST_ASSIGN_OR_RETURN(s.done_walks, v.GetUInt64("done_walks"));

@@ -59,19 +59,14 @@ class CoalescingSampleSource : public SampleSource {
   /// Cursors touched since BeginTick — the tick's consumer count.
   size_t queries_served() const { return cursors_.size(); }
 
-  // SampleSource:
-  Result<std::vector<TupleSample>> DrawFresh(NodeId origin,
-                                             size_t n) override;
-  Result<PartialTupleBatch> DrawFreshPartial(NodeId origin,
-                                             size_t n) override;
+  /// SampleSource: serves `n` samples from the active cursor, extending
+  /// the pool through the shared sampler when it is short. An extension
+  /// that times out keeps the samples that completed in the pool (later
+  /// same-tick consumers re-read them) and delivers fewer, with
+  /// timed_out = true.
+  Result<PartialTupleBatch> DrawFresh(NodeId origin, size_t n) override;
 
  private:
-  /// Serves `n` samples from the active cursor, extending the pool
-  /// through the shared sampler when it is short. Budget-limited
-  /// extension may deliver fewer (timed_out = true).
-  Result<PartialTupleBatch> Serve(NodeId origin, size_t n,
-                                  bool budgeted);
-
   TwoStageTupleSampler* sampler_;
   std::vector<TupleSample> pool_;
   std::map<QueryId, size_t> cursors_;

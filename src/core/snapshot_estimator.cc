@@ -124,63 +124,48 @@ Result<std::optional<double>> IndependentEstimator::ContributionValue(
   return Status::Internal("unhandled aggregate op");
 }
 
+Status IndependentEstimator::DrawContributing(NodeId origin, size_t count,
+                                              FreshDraws* into) {
+  size_t guard = 0;
+  while (count > 0 && !into->partial) {
+    if (++guard > 200) {
+      return Status::Unavailable(
+          "predicate selectivity too low: could not collect the "
+          "required qualifying samples");
+    }
+    DIGEST_ASSIGN_OR_RETURN(PartialTupleBatch batch,
+                            source_->DrawFresh(origin, count));
+    if (batch.timed_out && !options_.allow_partial) {
+      return Status::Unavailable(
+          "sampling hop budget exhausted before the batch completed");
+    }
+    into->drawn += batch.samples.size();
+    for (TupleSample& s : batch.samples) {
+      DIGEST_ASSIGN_OR_RETURN(std::optional<double> y,
+                              ContributionValue(s.tuple));
+      if (!y.has_value()) continue;
+      into->ys.push_back(*y);
+      into->stats.Add(*y);
+      into->samples.push_back(std::move(s));
+      --count;
+    }
+    if (batch.timed_out) {
+      into->partial = true;
+      into->planned = into->ys.size() + count;
+    }
+  }
+  return Status::OK();
+}
+
 Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
   DIGEST_RETURN_IF_ERROR(EnsureInitialized());
   DIGEST_ASSIGN_OR_RETURN(double eps_mean, MeanEpsilon());
 
-  std::vector<TupleSample> samples;  // Contributing samples only.
-  std::vector<double> ys;
-  RunningStats stats;
-  size_t drawn_total = 0;
-  bool partial = false;      // Hop budget ran out mid-occasion.
-  size_t planned_total = 0;  // Contributing count wanted at the cutoff.
-
-  // Draws until `count` *contributing* samples have been collected (for
-  // a predicated AVG, non-qualifying draws cost traffic but are skipped).
-  // Under allow_partial a hop-budget timeout sets `partial` and stops
-  // drawing instead of failing; the identical draw sequence makes the
-  // two modes bit-equal whenever no timeout fires.
-  auto draw = [&](size_t count) -> Status {
-    size_t guard = 0;
-    while (count > 0 && !partial) {
-      if (++guard > 200) {
-        return Status::Unavailable(
-            "predicate selectivity too low: could not collect the "
-            "required qualifying samples");
-      }
-      if (options_.allow_partial) {
-        DIGEST_ASSIGN_OR_RETURN(PartialTupleBatch batch,
-                                source_->DrawFreshPartial(origin, count));
-        drawn_total += batch.samples.size();
-        for (TupleSample& s : batch.samples) {
-          DIGEST_ASSIGN_OR_RETURN(std::optional<double> y,
-                                  ContributionValue(s.tuple));
-          if (!y.has_value()) continue;
-          ys.push_back(*y);
-          stats.Add(*y);
-          samples.push_back(std::move(s));
-          --count;
-        }
-        if (batch.timed_out) {
-          partial = true;
-          planned_total = ys.size() + count;
-        }
-      } else {
-        DIGEST_ASSIGN_OR_RETURN(std::vector<TupleSample> batch,
-                                source_->DrawFresh(origin, count));
-        drawn_total += batch.size();
-        for (TupleSample& s : batch) {
-          DIGEST_ASSIGN_OR_RETURN(std::optional<double> y,
-                                  ContributionValue(s.tuple));
-          if (!y.has_value()) continue;
-          ys.push_back(*y);
-          stats.Add(*y);
-          samples.push_back(std::move(s));
-          --count;
-        }
-      }
-    }
-    return Status::OK();
+  FreshDraws fresh;
+  const std::vector<double>& ys = fresh.ys;
+  const RunningStats& stats = fresh.stats;
+  const auto draw = [&](size_t count) {
+    return DrawContributing(origin, count, &fresh);
   };
 
   if (spec_.query.op == AggregateOp::kMedian) {
@@ -205,7 +190,8 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
     DIGEST_RETURN_IF_ERROR(draw(needed));
   } else {
     DIGEST_RETURN_IF_ERROR(draw(options_.pilot_samples));
-    for (size_t round = 0; round < options_.max_rounds && !partial; ++round) {
+    for (size_t round = 0; round < options_.max_rounds && !fresh.partial;
+         ++round) {
       const double sigma = stats.SampleStdDev();
       if (sigma == 0.0) break;  // Degenerate population: any n suffices.
       // Eq. 6: n = (z_p σ̂ / ε)².
@@ -219,6 +205,7 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
     }
   }
 
+  const bool partial = fresh.partial;
   if (partial &&
       ys.size() < std::max<size_t>(2, options_.min_partial_samples)) {
     // Too little arrived before the deadline to finalize honestly; let
@@ -243,8 +230,8 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
   est.variance_of_mean =
       stats.SampleVariance() / static_cast<double>(std::max<size_t>(1,
                                                    stats.count()));
-  est.total_samples = drawn_total;
-  est.fresh_samples = drawn_total;
+  est.total_samples = fresh.drawn;
+  est.fresh_samples = fresh.drawn;
   est.retained_samples = 0;
   est.contributing_samples = ys.size();
   est.partial = partial;
@@ -265,21 +252,21 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
         est.ci_halfwidth,
         ScaleToQueryUnits(z_ * std::sqrt(est.variance_of_mean)));
   }
-  // Hand the drawn set to a wrapping repeated-sampling estimator.
-  last_samples_ = std::move(samples);
-  last_ys_ = std::move(ys);
   if (obs::Tracing(options_.tracer)) {
     // INDEP sizes iteratively from the pilot, so the realized draw count
     // *is* the budget the CLT formula settled on.
     options_.tracer->Emit(obs::SampleBudgetEvent{
         /*repeated=*/false, /*rho_hat=*/0.0, est.sigma,
-        static_cast<uint64_t>(drawn_total), /*planned_retained=*/0});
+        static_cast<uint64_t>(fresh.drawn), /*planned_retained=*/0});
     if (partial) {
       options_.tracer->Emit(obs::PartialSnapshotEvent{
           static_cast<uint64_t>(est.contributing_samples),
-          static_cast<uint64_t>(planned_total), est.ci_halfwidth});
+          static_cast<uint64_t>(fresh.planned), est.ci_halfwidth});
     }
   }
+  // Hand the drawn set to a wrapping repeated-sampling estimator.
+  last_samples_ = std::move(fresh.samples);
+  last_ys_ = std::move(fresh.ys);
   return est;
 }
 
@@ -289,7 +276,6 @@ RepeatedSamplingEstimator::RepeatedSamplingEstimator(
     Rng rng, EstimatorOptions options)
     : independent_(spec, db, source, size_oracle, meter, rng.Fork(), options),
       db_(db),
-      source_(source),
       meter_(meter),
       rng_(rng),
       options_(options) {}
@@ -421,56 +407,16 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
   }
   const size_t g = y1g.size();
 
-  std::vector<double> yf;
-  std::vector<TupleRef> fresh_refs;
-  size_t fresh_drawn_total = 0;
-  bool partial = false;        // Hop budget ran out mid-occasion.
-  size_t planned_fresh = 0;    // Fresh count wanted at the cutoff.
-  auto draw_fresh = [&](size_t count) -> Status {
-    size_t guard = 0;
-    while (count > 0 && !partial) {
-      if (++guard > 200) {
-        return Status::Unavailable(
-            "predicate selectivity too low: could not collect the "
-            "required qualifying samples");
-      }
-      if (options_.allow_partial) {
-        DIGEST_ASSIGN_OR_RETURN(PartialTupleBatch batch,
-                                source_->DrawFreshPartial(origin, count));
-        fresh_drawn_total += batch.samples.size();
-        for (TupleSample& s : batch.samples) {
-          DIGEST_ASSIGN_OR_RETURN(std::optional<double> y,
-                                  independent_.ContributionValue(s.tuple));
-          if (!y.has_value()) continue;
-          yf.push_back(*y);
-          fresh_refs.push_back(s.ref);
-          --count;
-        }
-        if (batch.timed_out) {
-          partial = true;
-          planned_fresh = yf.size() + count;
-        }
-      } else {
-        DIGEST_ASSIGN_OR_RETURN(std::vector<TupleSample> batch,
-                                source_->DrawFresh(origin, count));
-        fresh_drawn_total += batch.size();
-        for (TupleSample& s : batch) {
-          DIGEST_ASSIGN_OR_RETURN(std::optional<double> y,
-                                  independent_.ContributionValue(s.tuple));
-          if (!y.has_value()) continue;
-          yf.push_back(*y);
-          fresh_refs.push_back(s.ref);
-          --count;
-        }
-      }
-    }
-    return Status::OK();
+  IndependentEstimator::FreshDraws fresh;
+  const std::vector<double>& yf = fresh.ys;
+  const auto draw_fresh = [&](size_t count) {
+    return independent_.DrawContributing(origin, count, &fresh);
   };
   const size_t f_initial =
       n_target > g ? n_target - g : std::max<size_t>(1, n_target / 4);
   DIGEST_RETURN_IF_ERROR(draw_fresh(f_initial));
-  if (partial && g + yf.size() <
-                     std::max<size_t>(2, options_.min_partial_samples)) {
+  if (fresh.partial &&
+      g + yf.size() < std::max<size_t>(2, options_.min_partial_samples)) {
     // Too little material before the deadline; the engine's degraded
     // fallback (retained pool refresh) is the honest answer instead.
     return Status::Unavailable(
@@ -538,7 +484,7 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
       }
     }
     const size_t total = g + yf.size();
-    if (partial || combined_var <= needed_var ||
+    if (fresh.partial || combined_var <= needed_var ||
         round + 1 >= options_.max_rounds ||
         total >= options_.max_samples || sigma2 == 0.0) {
       break;
@@ -567,7 +513,7 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
 
   // Memorize this occasion for the next one.
   for (size_t i = 0; i < yf.size(); ++i) {
-    current.push_back(Retained{fresh_refs[i], yf[i]});
+    current.push_back(Retained{fresh.samples[i].ref, yf[i]});
   }
   prev_samples_ = std::move(current);
   prev_mean_estimate_ = combined;
@@ -581,20 +527,20 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
   est.mean_estimate = combined;
   est.sigma = sigma2;
   est.variance_of_mean = combined_var;
-  est.total_samples = g + fresh_drawn_total;
-  est.fresh_samples = fresh_drawn_total;
+  est.total_samples = g + fresh.drawn;
+  est.fresh_samples = fresh.drawn;
   est.retained_samples = g;
   est.contributing_samples = g + yf.size();
-  est.partial = partial;
+  est.partial = fresh.partial;
   DIGEST_ASSIGN_OR_RETURN(est.value,
                           independent_.ScaleToQueryUnits(combined));
   DIGEST_ASSIGN_OR_RETURN(
       est.ci_halfwidth,
       independent_.ScaleToQueryUnits(z * std::sqrt(combined_var)));
-  if (partial && obs::Tracing(options_.tracer)) {
+  if (fresh.partial && obs::Tracing(options_.tracer)) {
     options_.tracer->Emit(obs::PartialSnapshotEvent{
         static_cast<uint64_t>(yf.size()),
-        static_cast<uint64_t>(planned_fresh), est.ci_halfwidth});
+        static_cast<uint64_t>(fresh.planned), est.ci_halfwidth});
   }
   return est;
 }

@@ -12,6 +12,7 @@
 #include "db/p2p_database.h"
 #include "net/message_meter.h"
 #include "numeric/rng.h"
+#include "numeric/stats.h"
 #include "sampling/tuple_sampler.h"
 
 namespace digest {
@@ -27,22 +28,11 @@ class SampleSource {
   virtual ~SampleSource() = default;
 
   /// Draws `n` uniform samples with replacement, originating any network
-  /// traffic at `origin`.
-  virtual Result<std::vector<TupleSample>> DrawFresh(NodeId origin,
-                                                     size_t n) = 0;
-
-  /// Deadline-budgeted variant: sources backed by a hop-budgeted sampler
-  /// return whatever completed before the budget ran out with
-  /// timed_out = true. The default wraps DrawFresh and never times out
-  /// (sources without a budget always deliver the full batch or fail).
-  virtual Result<PartialTupleBatch> DrawFreshPartial(NodeId origin,
-                                                     size_t n) {
-    DIGEST_ASSIGN_OR_RETURN(std::vector<TupleSample> samples,
-                            DrawFresh(origin, n));
-    PartialTupleBatch batch;
-    batch.samples = std::move(samples);
-    return batch;
-  }
+  /// traffic at `origin`. A source backed by a hop-budgeted sampler
+  /// returns whatever completed before the budget ran out with
+  /// timed_out = true; the estimator alone decides whether that fails
+  /// the occasion or finalizes it partially.
+  virtual Result<PartialTupleBatch> DrawFresh(NodeId origin, size_t n) = 0;
 };
 
 /// SampleSource over the two-stage MCMC tuple sampler (§III).
@@ -50,13 +40,8 @@ class TwoStageSampleSource : public SampleSource {
  public:
   explicit TwoStageSampleSource(TwoStageTupleSampler* sampler)
       : sampler_(sampler) {}
-  Result<std::vector<TupleSample>> DrawFresh(NodeId origin,
-                                             size_t n) override {
+  Result<PartialTupleBatch> DrawFresh(NodeId origin, size_t n) override {
     return sampler_->SampleBatch(origin, n);
-  }
-  Result<PartialTupleBatch> DrawFreshPartial(NodeId origin,
-                                             size_t n) override {
-    return sampler_->SampleBatchPartial(origin, n);
   }
 
  private:
@@ -68,10 +53,12 @@ class ExactSampleSource : public SampleSource {
  public:
   explicit ExactSampleSource(ExactTupleSampler* sampler)
       : sampler_(sampler) {}
-  Result<std::vector<TupleSample>> DrawFresh(NodeId origin,
-                                             size_t n) override {
+  /// Never times out: it has no hop budget.
+  Result<PartialTupleBatch> DrawFresh(NodeId origin, size_t n) override {
     (void)origin;
-    return sampler_->SampleBatch(n);
+    PartialTupleBatch batch;
+    DIGEST_ASSIGN_OR_RETURN(batch.samples, sampler_->SampleBatch(n));
+    return batch;
   }
 
  private:
@@ -116,8 +103,9 @@ struct EstimatorOptions {
   /// collected so far (honestly wider CI, SnapshotEstimate::partial set)
   /// instead of failing with kUnavailable. Off by default: the classic
   /// timeout → degraded-fallback path is preserved unless a caller opts
-  /// in. With no fault plan no timeout ever fires, so enabling this
-  /// leaves fault-free runs bit-identical.
+  /// in. Either way the draws are the same; only this choice differs, so
+  /// with no fault plan (no timeout ever fires) enabling it leaves runs
+  /// bit-identical. Read in one place: IndependentEstimator's draw loop.
   bool allow_partial = false;
   /// Minimum contributing samples a partial finalization needs; below
   /// this the occasion still fails with kUnavailable (an estimate from
@@ -242,6 +230,24 @@ class IndependentEstimator : public SnapshotEstimator {
   /// Scales a mean estimate into query units (multiplies by N for SUM).
   Result<double> ScaleToQueryUnits(double mean) const;
 
+  /// An occasion's fresh draws, in draw order.
+  struct FreshDraws {
+    std::vector<TupleSample> samples;  ///< Contributing samples only.
+    std::vector<double> ys;            ///< Their contributions.
+    RunningStats stats;                ///< Over ys.
+    size_t drawn = 0;      ///< Every sample drawn, contributing or not.
+    bool partial = false;  ///< The hop budget ran out mid-occasion.
+    size_t planned = 0;    ///< Contributing count wanted at the cutoff.
+  };
+
+  /// The one fresh-draw loop of both estimators: draws until `count`
+  /// more contributing samples are in `into` (for a predicated AVG,
+  /// non-qualifying draws cost traffic but are skipped). A batch that
+  /// timed out fails the occasion with kUnavailable — what the engine
+  /// degrades on — unless allow_partial is set, in which case `into`
+  /// keeps what arrived, turns partial, and later calls draw nothing.
+  Status DrawContributing(NodeId origin, size_t count, FreshDraws* into);
+
   /// Maps a sampled tuple to its contribution to the per-tuple mean:
   /// - AVG: y for qualifying tuples, nullopt (skip) otherwise — the
   ///   conditional mean over the qualifying subpopulation.
@@ -328,7 +334,6 @@ class RepeatedSamplingEstimator : public SnapshotEstimator {
 
   IndependentEstimator independent_;  // Reused for occasion 1 & fallbacks.
   const P2PDatabase* db_;
-  SampleSource* source_;
   MessageMeter* meter_;
   Rng rng_;
   EstimatorOptions options_;

@@ -241,7 +241,8 @@ struct RetryPolicy {
 
   /// A batch of walks planned to take S hops may spend at most
   /// ceil(hop_budget_factor · S) budget units (hops + backoff delays)
-  /// before the sampling call gives up with kUnavailable.
+  /// before the sampling call stops and returns the walks that completed,
+  /// flagged timed_out.
   double hop_budget_factor = 8.0;
 
   /// Deterministic backoff cost of the k-th retransmission (k >= 1).

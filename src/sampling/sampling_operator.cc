@@ -117,11 +117,6 @@ Status HedgePolicy::Validate() const {
   return Status::OK();
 }
 
-Result<NodeId> SamplingOperator::SampleNode(NodeId origin) {
-  DIGEST_ASSIGN_OR_RETURN(std::vector<NodeId> nodes, SampleNodes(origin, 1));
-  return nodes.front();
-}
-
 uint64_t SamplingOperator::HedgeThreshold(size_t steps) const {
   if (!options_.hedge.enabled || faults_ == nullptr) return 0;
   if (done_walks_ < options_.hedge.min_observations || done_steps_ == 0) {
@@ -136,21 +131,6 @@ uint64_t SamplingOperator::HedgeThreshold(size_t steps) const {
   return static_cast<uint64_t>(
       std::ceil(options_.hedge.straggler_factor * mean_per_step *
                 static_cast<double>(steps)));
-}
-
-Result<std::vector<NodeId>> SamplingOperator::SampleNodes(NodeId origin,
-                                                          size_t n) {
-  DIGEST_ASSIGN_OR_RETURN(PartialBatch batch, SampleBatch(origin, n));
-  if (batch.timed_out) {
-    return Status::Unavailable(
-        "sampling hop budget exhausted under faults (walk timeout)");
-  }
-  return std::move(batch.nodes);
-}
-
-Result<PartialBatch> SamplingOperator::SampleNodesPartial(NodeId origin,
-                                                          size_t n) {
-  return SampleBatch(origin, n);
 }
 
 // One walk of a batch: everything it produces, written only by the
@@ -171,7 +151,7 @@ struct SamplingOperator::WalkSlot {
   bool timed_out = false;  // Self-capped at the pooled budget.
 };
 
-Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
+Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
   // DESIGN.md "Parallel execution & determinism model". Every source of
   // randomness, fault injection, accounting, and tracing is keyed by
   // WALK INDEX and lands in the walk's slot; a walk never touches shared
@@ -201,10 +181,7 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
   context_.Refresh(*graph_, weight_,
                    health_ != nullptr ? &health_view : nullptr);
   context_.set_fallback(fallback);
-  const size_t base = next_agent_;
-  const size_t warm_pool =
-      options_.warm_walks && agents_.size() > base ? agents_.size() - base : 0;
-  const size_t warm = std::min(n, warm_pool);
+  const size_t warm = options_.warm_walks ? std::min(n, agents_.size()) : 0;
   const size_t walk_len = EffectiveWalkLength();
   const size_t reset_len = EffectiveResetLength();
   // Batch attempt budget, provisioned up front: a batch planned to take
@@ -248,10 +225,10 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
     io.diag = diag_ != nullptr ? &out.diag : nullptr;
     io.health = health_ != nullptr ? &out.health : nullptr;
     WalkTelemetry& telemetry = io.telemetry;
-    const bool is_warm = options_.warm_walks && base + i < agents_.size();
+    const bool is_warm = i < warm;
     out.steps = is_warm ? reset_len : walk_len;
     Rng walk_rng = substream_base.Split(2 * i);
-    RandomWalk agent(is_warm ? agents_[base + i].current() : fallback,
+    RandomWalk agent(is_warm ? agents_[i].current() : fallback,
                      options_.laziness);
     // One agent's stepping to convergence (cold mix or warm reset);
     // items count the attempted hops.
@@ -292,11 +269,9 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
         // neighborhood than wherever the straggler is stuck — and
         // otherwise walks cold from the origin.
         hedged = true;
-        const size_t donor = base + i - 1;
-        const bool warm_donor = options_.warm_walks && base + i >= 1 &&
-                                donor < agents_.size() &&
-                                context_.Live(agents_[donor].current());
-        hedge = RandomWalk(warm_donor ? agents_[donor].current() : fallback,
+        const bool warm_donor = i > 0 && i <= warm &&
+                                context_.Live(agents_[i - 1].current());
+        hedge = RandomWalk(warm_donor ? agents_[i - 1].current() : fallback,
                            options_.laziness);
         hedge_remaining = warm_donor ? reset_len : walk_len;
         primary_spent = 0;
@@ -416,8 +391,8 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
       }
     }
     MergeTelemetry(last_telemetry_, o.io.telemetry);
-    if (base + i < agents_.size()) {
-      agents_[base + i] = RandomWalk(o.final_pos, options_.laziness);
+    if (i < agents_.size()) {
+      agents_[i] = RandomWalk(o.final_pos, options_.laziness);
     } else {
       agents_.emplace_back(o.final_pos, options_.laziness);
     }
@@ -440,12 +415,10 @@ Result<PartialBatch> SamplingOperator::SampleBatch(NodeId origin, size_t n) {
     if (meter_ != nullptr) meter_->AddSampleTransfer();
   }
 
-  // Round-robin reuse: the next batch starts over from the first agent.
-  next_agent_ = 0;
   if (cut) {
     // Hop budget exhausted: the overlay is too lossy or stalled to
-    // finish this batch in time. Report a timeout the caller can degrade
-    // on (or finalize a partial snapshot from).
+    // finish this batch in time. Hand back what completed, flagged; the
+    // caller degrades on it or finalizes a partial snapshot from it.
     if (tracing) {
       tracer_->Emit(obs::HopBudgetExhaustedEvent{last_telemetry_.attempts,
                                                  budget});
@@ -478,7 +451,6 @@ SamplingOperator::State SamplingOperator::SaveState() const {
   for (const RandomWalk& agent : agents_) {
     state.agent_positions.push_back(agent.current());
   }
-  state.next_agent = next_agent_;
   state.rng = rng_.SaveState();
   state.done_walks = done_walks_;
   state.done_attempts = done_attempts_;
@@ -492,7 +464,6 @@ void SamplingOperator::RestoreState(const State& state) {
   for (NodeId position : state.agent_positions) {
     agents_.emplace_back(position, options_.laziness);
   }
-  next_agent_ = static_cast<size_t>(state.next_agent);
   rng_.RestoreState(state.rng);
   done_walks_ = state.done_walks;
   done_attempts_ = state.done_attempts;

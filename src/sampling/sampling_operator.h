@@ -131,9 +131,11 @@ struct PartialBatch {
 /// re-injected at the origin and walks a full cold mixing length again.
 /// Each batch may spend at most retry.hop_budget_factor times its
 /// planned hop count (retries and backoff delays included); when the
-/// budget runs out mid-batch, SampleNodes fails with kUnavailable — the
-/// caller (e.g. DigestEngine) degrades gracefully instead of blocking
-/// forever on an unreachable overlay.
+/// budget runs out mid-batch, SampleNodes returns the samples that
+/// completed with timed_out = true — a value, not an error — and the
+/// caller decides whether that is a failure (e.g. DigestEngine degrades)
+/// or a partial answer, instead of blocking forever on an unreachable
+/// overlay.
 class SamplingOperator {
  public:
   /// `meter` may be null to skip accounting.
@@ -191,22 +193,21 @@ class SamplingOperator {
   void SetHealth(PeerHealthMonitor* health) { health_ = health; }
   PeerHealthMonitor* health() const { return health_; }
 
-  /// Draws one sample node, originating the walk at `origin`. Returning
-  /// the sampled node id to the originator costs one transfer message.
-  /// Fails if the graph is empty or the origin is dead with no live node
-  /// remaining.
-  Result<NodeId> SampleNode(NodeId origin);
-
   /// Draws `n` sample nodes in batch mode (§VI-A): n agents with
-  /// overlapping convergence, each contributing one node. Under faults,
-  /// fails with kUnavailable when the batch hop budget times out.
-  Result<std::vector<NodeId>> SampleNodes(NodeId origin, size_t n);
-
-  /// Deadline-budgeted variant: identical draws, meter accounting, and
-  /// trace emission to SampleNodes, but when the batch hop budget runs
-  /// out it returns the samples completed so far with timed_out = true
-  /// instead of failing — the raw material for a partial snapshot.
-  Result<PartialBatch> SampleNodesPartial(NodeId origin, size_t n);
+  /// overlapping convergence, each contributing one node, originating
+  /// the walks at `origin`. Returning each sampled node id to the
+  /// originator costs one transfer message. Under faults, when the batch
+  /// hop budget runs out, returns the samples completed so far with
+  /// timed_out = true (the raw material for a partial snapshot). Fails
+  /// only if the graph is empty or the origin is dead with no live node
+  /// remaining.
+  ///
+  /// Refreshes the walk context (adjacency only after churn; weights,
+  /// quarantine routing and draw thresholds every batch) before any walk
+  /// launches; every walk then reads that one snapshot. The graph and
+  /// the data the weight function reads must not change while a batch
+  /// runs.
+  Result<PartialBatch> SampleNodes(NodeId origin, size_t n);
 
   /// Drops all warm agents (e.g., after a topology change large enough
   /// that their positions should not be trusted).
@@ -233,13 +234,11 @@ class SamplingOperator {
   uint64_t hedge_done_attempts() const { return done_attempts_; }
   uint64_t hedge_done_steps() const { return done_steps_; }
 
-  /// Serializable session state: warm-agent positions, the round-robin
-  /// cursor, the RNG stream, and the hedge statistics. Everything a
-  /// restored operator needs to replay the exact draw sequence an
-  /// uninterrupted run would have made.
+  /// Serializable session state: warm-agent positions, the RNG stream,
+  /// and the hedge statistics. Everything a restored operator needs to
+  /// replay the exact draw sequence an uninterrupted run would have made.
   struct State {
     std::vector<NodeId> agent_positions;
-    uint64_t next_agent = 0;
     Rng::State rng;
     uint64_t done_walks = 0;
     uint64_t done_attempts = 0;
@@ -250,14 +249,6 @@ class SamplingOperator {
 
  private:
   struct WalkSlot;
-
-  /// Core batch shared by SampleNodes / SampleNodesPartial. The two
-  /// wrappers differ only in how a hop-budget timeout is reported.
-  /// Refreshes context_ (adjacency only after churn; weights, quarantine
-  /// routing and draw thresholds every batch) before any walk launches;
-  /// every walk then reads that one snapshot. The graph and the data the
-  /// weight function reads must not change while a batch runs.
-  Result<PartialBatch> SampleBatch(NodeId origin, size_t n);
 
   /// Hedge straggler threshold in attempt units for an agent planned to
   /// walk `steps` steps; 0 means hedging is disarmed (disabled, no fault
@@ -280,8 +271,8 @@ class SamplingOperator {
   diag::SamplerDiag* diag_ = nullptr;
   PeerHealthMonitor* health_ = nullptr;
   WalkTelemetry last_telemetry_;
-  std::vector<RandomWalk> agents_;  // Warm agents, reused round-robin.
-  size_t next_agent_ = 0;
+  // Warm agents: walk i of every batch continues agents_[i].
+  std::vector<RandomWalk> agents_;
   // Per-walk output slots, reused across batches (grown to the largest
   // batch so far).
   std::vector<WalkSlot> slots_;

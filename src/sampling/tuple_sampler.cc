@@ -2,27 +2,8 @@
 
 namespace digest {
 
-Result<TupleSample> TwoStageTupleSampler::Sample(NodeId origin) {
-  DIGEST_ASSIGN_OR_RETURN(std::vector<TupleSample> batch,
-                          SampleBatch(origin, 1));
-  return batch.front();
-}
-
-Result<std::vector<TupleSample>> TwoStageTupleSampler::SampleBatch(
-    NodeId origin, size_t n) {
-  // Same draws as the partial variant; only the timeout reporting
-  // differs, so the two paths cannot diverge.
-  DIGEST_ASSIGN_OR_RETURN(PartialTupleBatch batch,
-                          SampleBatchPartial(origin, n));
-  if (batch.timed_out) {
-    return Status::Unavailable(
-        "sampling hop budget exhausted before the batch completed");
-  }
-  return std::move(batch.samples);
-}
-
-Result<PartialTupleBatch> TwoStageTupleSampler::SampleBatchPartial(
-    NodeId origin, size_t n) {
+Result<PartialTupleBatch> TwoStageTupleSampler::SampleBatch(NodeId origin,
+                                                           size_t n) {
   if (db_->Empty()) {
     return Status::FailedPrecondition("relation R is empty");
   }
@@ -36,7 +17,7 @@ Result<PartialTupleBatch> TwoStageTupleSampler::SampleBatchPartial(
     }
     const size_t want = n - out.samples.size();
     DIGEST_ASSIGN_OR_RETURN(PartialBatch nodes,
-                            op_->SampleNodesPartial(origin, want));
+                            op_->SampleNodes(origin, want));
     for (NodeId node : nodes.nodes) {
       // Under churn the sampled node may have vanished between the walk
       // and the local draw, or may hold no tuples (weight raced with an
@@ -59,7 +40,12 @@ Result<PartialTupleBatch> TwoStageTupleSampler::SampleBatchPartial(
 
 Result<std::vector<TupleSample>> ClusterSampler::SampleCluster(
     NodeId origin) {
-  DIGEST_ASSIGN_OR_RETURN(NodeId node, op_->SampleNode(origin));
+  DIGEST_ASSIGN_OR_RETURN(PartialBatch walk, op_->SampleNodes(origin, 1));
+  if (walk.timed_out) {
+    return Status::Unavailable(
+        "sampling hop budget exhausted under faults (walk timeout)");
+  }
+  const NodeId node = walk.nodes.front();
   DIGEST_ASSIGN_OR_RETURN(const LocalStore* store, db_->StoreAt(node));
   std::vector<TupleSample> out;
   out.reserve(store->Size());
@@ -67,11 +53,6 @@ Result<std::vector<TupleSample>> ClusterSampler::SampleCluster(
     out.push_back(TupleSample{TupleRef{node, id}, tuple});
   });
   return out;
-}
-
-Result<TupleSample> ExactTupleSampler::Sample() {
-  DIGEST_ASSIGN_OR_RETURN(std::vector<TupleSample> batch, SampleBatch(1));
-  return batch.front();
 }
 
 Result<std::vector<TupleSample>> ExactTupleSampler::SampleBatch(size_t n) {

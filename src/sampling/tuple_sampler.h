@@ -39,18 +39,11 @@ class TwoStageTupleSampler {
   TwoStageTupleSampler(const P2PDatabase* db, SamplingOperator* op, Rng rng)
       : db_(db), op_(op), rng_(rng) {}
 
-  /// Draws one uniform tuple sample, originating walks at `origin`.
-  /// Fails when the relation is empty.
-  Result<TupleSample> Sample(NodeId origin);
-
-  /// Draws `n` samples (with replacement) in batch mode.
-  Result<std::vector<TupleSample>> SampleBatch(NodeId origin, size_t n);
-
-  /// Deadline-budgeted variant: identical draws and accounting to
-  /// SampleBatch, but when the operator's hop budget times out it
-  /// returns the samples completed so far with timed_out = true instead
-  /// of failing with kUnavailable.
-  Result<PartialTupleBatch> SampleBatchPartial(NodeId origin, size_t n);
+  /// Draws `n` samples (with replacement) in batch mode, originating
+  /// walks at `origin`. When the operator's hop budget times out, returns
+  /// the samples completed so far with timed_out = true. Fails when the
+  /// relation is empty.
+  Result<PartialTupleBatch> SampleBatch(NodeId origin, size_t n);
 
   /// Serializable stage-2 RNG stream (the local uniform tuple pick), for
   /// the engine checkpoint. The stage-1 walk stream lives in the
@@ -73,7 +66,8 @@ class ClusterSampler {
   ClusterSampler(const P2PDatabase* db, SamplingOperator* op)
       : db_(db), op_(op) {}
 
-  /// Draws the full content of one uniformly sampled node.
+  /// Draws the full content of one uniformly sampled node. Fails with
+  /// kUnavailable when the walk's hop budget times out.
   Result<std::vector<TupleSample>> SampleCluster(NodeId origin);
 
  private:
@@ -89,10 +83,8 @@ class ExactTupleSampler {
   ExactTupleSampler(const P2PDatabase* db, Rng rng, MessageMeter* meter)
       : db_(db), rng_(rng), meter_(meter) {}
 
-  /// Draws one exactly uniform tuple sample. Fails when R is empty.
-  Result<TupleSample> Sample();
-
-  /// Draws `n` samples with replacement.
+  /// Draws `n` exactly uniform samples with replacement. Fails when R is
+  /// empty.
   Result<std::vector<TupleSample>> SampleBatch(size_t n);
 
   /// Serializable draw stream, for the engine checkpoint.

@@ -29,17 +29,20 @@ class InterleavingSampleSource : public SampleSource {
         draws_per_advance_(draws_per_advance == 0 ? 1
                                                   : draws_per_advance) {}
 
-  Result<std::vector<TupleSample>> DrawFresh(NodeId origin,
-                                             size_t n) override {
-    std::vector<TupleSample> out;
-    out.reserve(n);
-    while (out.size() < n) {
+  /// A chunk that times out ends the call: the samples drawn so far come
+  /// back with timed_out = true, and no further chunk is drawn against
+  /// the spent budget.
+  Result<PartialTupleBatch> DrawFresh(NodeId origin, size_t n) override {
+    PartialTupleBatch out;
+    out.samples.reserve(n);
+    while (out.samples.size() < n && !out.timed_out) {
       const size_t quota = draws_per_advance_ - pending_draws_;
-      const size_t chunk = std::min(n - out.size(), quota);
-      DIGEST_ASSIGN_OR_RETURN(std::vector<TupleSample> batch,
+      const size_t chunk = std::min(n - out.samples.size(), quota);
+      DIGEST_ASSIGN_OR_RETURN(PartialTupleBatch batch,
                               inner_->DrawFresh(origin, chunk));
-      pending_draws_ += batch.size();
-      for (TupleSample& s : batch) out.push_back(std::move(s));
+      pending_draws_ += batch.samples.size();
+      for (TupleSample& s : batch.samples) out.samples.push_back(std::move(s));
+      out.timed_out = batch.timed_out;
       if (pending_draws_ >= draws_per_advance_) {
         DIGEST_RETURN_IF_ERROR(workload_->Advance());
         ++mid_occasion_advances_;

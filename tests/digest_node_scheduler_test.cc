@@ -11,8 +11,10 @@
 
 #include "core/digest_node.h"
 #include "core/query_scheduler.h"
+#include "net/fault_plan.h"
 #include "net/topology.h"
 #include "obs/tracer.h"
+#include "sampling/weight.h"
 
 namespace digest {
 namespace {
@@ -191,6 +193,109 @@ TEST(DigestNodeSchedulerTest, TraceLanesSeparateQueries) {
   // One tick event per query per tick, on that query's lane.
   EXPECT_EQ(lane_events[static_cast<int64_t>(q1)], 3u);
   EXPECT_EQ(lane_events[static_cast<int64_t>(q2)], 3u);
+}
+
+// Loss heavy enough that walk batches overrun a tight hop budget part
+// way through: each timed-out batch still delivers the walks that
+// completed before the cut.
+FaultPlanConfig LossyFaults() {
+  FaultPlanConfig config;
+  config.message_loss = 0.3;
+  return config;
+}
+
+constexpr double kTightBudget = 1.2;
+
+// A strict (allow_partial = false) tenant whose pool extension times out
+// fails its occasion, but the samples that completed stay in the tick
+// pool: the tenant's cursor covers them, and a later same-tick tenant
+// re-reads them without sending a message.
+TEST(DigestNodeSchedulerTest, TimedOutStrictExtensionKeepsCompletedSamples) {
+  Fixture f;
+  SamplingOperatorOptions sampling;
+  sampling.walk_length = 40;
+  sampling.reset_length = 10;
+  sampling.retry.hop_budget_factor = kTightBudget;
+  MessageMeter meter;
+  SamplingOperator op(&f.graph, ContentSizeWeight(*f.db), Rng(7), &meter,
+                      sampling);
+  FaultPlan plan(LossyFaults(), /*seed=*/13);
+  op.SetFaultPlan(&plan);
+  TwoStageTupleSampler sampler(f.db.get(), &op, Rng(8));
+  CoalescingSampleSource source(&sampler);
+  EstimatorOptions strict_options;
+  strict_options.allow_partial = false;
+  IndependentEstimator strict(Spec("SELECT AVG(cpu) FROM R", 0.25),
+                              f.db.get(), &source, nullptr, nullptr, Rng(9),
+                              strict_options);
+
+  source.BeginTick();
+  source.SetActiveQuery(1);
+  EXPECT_EQ(strict.Evaluate(0).status().code(), StatusCode::kUnavailable);
+  const size_t kept = source.shared_samples();
+  EXPECT_GT(kept, 0u);
+  EXPECT_EQ(source.consumed_samples(), kept);
+
+  source.SetActiveQuery(2);
+  const uint64_t before = meter.Total();
+  Result<PartialTupleBatch> later = source.DrawFresh(0, kept);
+  ASSERT_TRUE(later.ok()) << later.status();
+  EXPECT_FALSE(later->timed_out);
+  EXPECT_EQ(later->samples.size(), kept);
+  EXPECT_EQ(meter.Total(), before);
+  EXPECT_EQ(source.shared_samples(), kept);
+  EXPECT_EQ(source.consumed_samples(), 2 * kept);
+}
+
+// The same change seen through a coalesced node: under faults with
+// allow_partial off, a tenant whose draw times out has a degraded (or
+// unanswered) tick rather than a hard error, and the looser tenant that
+// runs after it in the same tick rides the samples it left in the pool.
+TEST(DigestNodeSchedulerTest, CoalescedStrictTimeoutDegradesAndSharesPool) {
+  Fixture f;
+  obs::MemoryTracer tracer;
+  DigestEngineOptions options = FastOptions();
+  options.tracer = &tracer;
+  options.sampling_options.retry.hop_budget_factor = kTightBudget;
+  FaultPlan plan(LossyFaults(), /*seed=*/17);
+  options.fault_plan = &plan;
+  options.estimator_options.allow_partial = false;
+  auto node = DigestNode::Create(&f.graph, f.db.get(), 0, Rng(11), nullptr,
+                                 options)
+                  .value();
+  const QueryId tight =
+      node->IssueQuery(Spec("SELECT AVG(cpu) FROM R", 0.25)).value();
+  const QueryId loose =
+      node->IssueQuery(Spec("SELECT AVG(memory) FROM R", 4.0)).value();
+
+  size_t shared_timeouts = 0;
+  size_t loose_answered = 0;
+  for (int64_t t = 1; t <= 8; ++t) {
+    plan.set_now(t);
+    tracer.Clear();
+    Result<std::vector<std::pair<QueryId, EngineTickResult>>> results =
+        node->Tick(t);
+    ASSERT_TRUE(results.ok()) << "tick " << t << ": " << results.status();
+    ASSERT_EQ(results->size(), 2u);
+    const EngineTickResult& first = results->at(0).second;
+    const EngineTickResult& second = results->at(1).second;
+    ASSERT_EQ(results->at(0).first, tight);
+    ASSERT_EQ(results->at(1).first, loose);
+    if (!first.degraded) continue;
+    for (const obs::TraceEvent& ev : tracer.events()) {
+      const auto* coalesced =
+          std::get_if<obs::SnapshotCoalescedEvent>(&ev.payload);
+      // The loose tenant's cursor overlapped the timed-out tenant's
+      // completed prefix.
+      if (coalesced != nullptr &&
+          coalesced->consumed_samples > coalesced->shared_samples) {
+        ++shared_timeouts;
+      }
+    }
+    if (second.snapshot_executed && !second.degraded) ++loose_answered;
+  }
+  EXPECT_GT(shared_timeouts, 0u);
+  EXPECT_GT(loose_answered, 0u);
 }
 
 // Runs `ticks` ticks from `from + 1`, appending each tick's per-query

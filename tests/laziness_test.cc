@@ -84,7 +84,7 @@ TEST(LazinessTest, OperatorRespectsLaziness) {
     options.warm_walks = false;
     options.laziness = lam;
     SamplingOperator op(&g, UniformWeight(), Rng(4), &meter, options);
-    EXPECT_TRUE(op.SampleNode(0).ok());
+    EXPECT_TRUE(op.SampleNodes(0, 1).ok());
     return meter.weight_probes();
   };
   const uint64_t probes_eager = probes_for(0.0);

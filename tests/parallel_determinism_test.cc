@@ -343,8 +343,8 @@ TEST(ParallelDeterminismTest, InlineTraceCarriesLanesIdenticalToPooled) {
 }
 
 // ---------------------------------------------------------------------
-// Operator-level determinism: raw SampleNodes / SampleNodesPartial
-// outputs, meter accounting, telemetry, and saved state must match for
+// Operator-level determinism: raw SampleNodes outputs (timeout flags
+// included), meter accounting, telemetry, and saved state must match for
 // any thread count, without the engine in the way.
 // ---------------------------------------------------------------------
 
@@ -374,8 +374,7 @@ OperatorRun RunOperatorBatches(size_t num_threads, bool with_faults) {
   OperatorRun run;
   for (int batch = 0; batch < 6; ++batch) {
     if (plan) plan->set_now(batch + 1);
-    Result<PartialBatch> result =
-        op.SampleNodesPartial(origin, /*n=*/12);
+    Result<PartialBatch> result = op.SampleNodes(origin, /*n=*/12);
     EXPECT_TRUE(result.ok()) << result.status().message();
     if (!result.ok()) break;
     run.samples.insert(run.samples.end(), result->nodes.begin(),
@@ -409,7 +408,6 @@ void ExpectOperatorRunsEqual(const OperatorRun& a, const OperatorRun& b) {
   EXPECT_EQ(a.telemetry.hedges, b.telemetry.hedges);
   EXPECT_EQ(a.telemetry.hedge_wins, b.telemetry.hedge_wins);
   EXPECT_EQ(a.state.agent_positions, b.state.agent_positions);
-  EXPECT_EQ(a.state.next_agent, b.state.next_agent);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(a.state.rng.words[i], b.state.rng.words[i]) << "word " << i;
   }

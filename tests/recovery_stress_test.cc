@@ -426,5 +426,61 @@ TEST(RecoveryStressTest, RestoreRejectsBadBlobsWithoutTouchingTheEngine) {
   EXPECT_TRUE(engine->Restore(engine->Checkpoint().value()).ok());
 }
 
+// Blobs written while the sampling operator still saved its round-robin
+// agent cursor (always 0 at a batch boundary) carry "next_agent":0 in the
+// operator state. The key is no longer written, and such a blob still
+// restores to the same session as the current encoding.
+TEST(RecoveryStressTest, LegacyNextAgentKeyStillRestores) {
+  StaticDriftWorkload workload(MakeMesh(8, 8).value(), kWorkloadSeed);
+  const ContinuousQuerySpec spec =
+      ContinuousQuerySpec::Create("SELECT AVG(load) FROM R",
+                                  PrecisionSpec{1.0, 4.0, 0.9})
+          .value();
+  DigestEngineOptions options;
+  options.scheduler = SchedulerKind::kAll;
+  options.estimator = EstimatorKind::kRepeated;
+  options.sampling_options.walk_length = 16;
+  options.sampling_options.reset_length = 4;
+  auto make_engine = [&](MessageMeter* meter) {
+    Rng rng(kEngineSeed);
+    const NodeId querying = workload.graph().RandomLiveNode(rng).value();
+    workload.ProtectNode(querying);
+    return DigestEngine::Create(&workload.graph(), &workload.db(), spec,
+                                querying, rng.Fork(), meter, options)
+        .value();
+  };
+
+  MessageMeter meter;
+  std::unique_ptr<DigestEngine> engine = make_engine(&meter);
+  for (int t = 0; t < 3; ++t) {
+    ASSERT_TRUE(workload.Advance().ok());
+    ASSERT_TRUE(engine->Tick(workload.now()).ok());
+  }
+  const std::string blob = engine->Checkpoint().value();
+  EXPECT_EQ(blob.find("next_agent"), std::string::npos);
+  std::string legacy = blob;
+  const size_t at =
+      legacy.find("],\"rng\":", legacy.find("\"agent_positions\":["));
+  ASSERT_NE(at, std::string::npos);
+  legacy.insert(at + 2, "\"next_agent\":0,");
+
+  MessageMeter current_meter;
+  MessageMeter legacy_meter;
+  std::unique_ptr<DigestEngine> current = make_engine(&current_meter);
+  std::unique_ptr<DigestEngine> restored = make_engine(&legacy_meter);
+  ASSERT_TRUE(current->Restore(blob).ok());
+  Status status = restored->Restore(legacy);
+  ASSERT_TRUE(status.ok()) << status.message();
+  for (int t = 0; t < 6; ++t) {
+    ASSERT_TRUE(workload.Advance().ok());
+    const EngineTickResult a = current->Tick(workload.now()).value();
+    const EngineTickResult b = restored->Tick(workload.now()).value();
+    EXPECT_EQ(a.reported_value, b.reported_value) << "tick " << t;
+    EXPECT_EQ(a.ci_halfwidth, b.ci_halfwidth) << "tick " << t;
+  }
+  EXPECT_EQ(current_meter.Total(), legacy_meter.Total());
+  EXPECT_EQ(current->Checkpoint().value(), restored->Checkpoint().value());
+}
+
 }  // namespace
 }  // namespace digest

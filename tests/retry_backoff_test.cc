@@ -103,9 +103,10 @@ TEST(RetryBackoffTest, SaturatedBackoffStillReconcilesWithMeter) {
   FaultPlan plan(config, 29);
   op.SetFaultPlan(&plan);
 
-  Result<std::vector<NodeId>> res = op.SampleNodes(0, 4);
-  ASSERT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), StatusCode::kUnavailable);
+  Result<PartialBatch> res = op.SampleNodes(0, 4);
+  ASSERT_TRUE(res.ok()) << res.status();
+  EXPECT_TRUE(res->timed_out);
+  EXPECT_LT(res->nodes.size(), 4u);
   EXPECT_GT(meter.losses(), 0u);
   EXPECT_EQ(meter.losses(), plan.losses_injected());
   // Each loss was answered by at most one (budget-charged) retry; the
@@ -115,7 +116,7 @@ TEST(RetryBackoffTest, SaturatedBackoffStillReconcilesWithMeter) {
   EXPECT_EQ(meter.FaultOverhead(), meter.retries() + meter.agent_restarts());
 }
 
-TEST(RetryBackoffTest, BudgetExhaustionReturnsUnavailableNotCrash) {
+TEST(RetryBackoffTest, BudgetExhaustionTimesOutNotCrash) {
   const Graph graph = MakeComplete(12).value();
   SamplingOperatorOptions options;
   options.walk_length = 16;
@@ -130,22 +131,25 @@ TEST(RetryBackoffTest, BudgetExhaustionReturnsUnavailableNotCrash) {
   FaultPlan plan(config, 13);
   op.SetFaultPlan(&plan);
 
-  Result<std::vector<NodeId>> res = op.SampleNodes(0, 4);
-  ASSERT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), StatusCode::kUnavailable);
+  // The timeout is a value: the batch comes back flagged and short.
+  Result<PartialBatch> res = op.SampleNodes(0, 4);
+  ASSERT_TRUE(res.ok()) << res.status();
+  EXPECT_TRUE(res->timed_out);
+  EXPECT_LT(res->nodes.size(), 4u);
   EXPECT_GT(op.last_telemetry().abandoned, 0u);
   EXPECT_GT(meter.losses(), 0u);
 
-  // A second call degrades the same way rather than wedging.
-  Result<std::vector<NodeId>> again = op.SampleNodes(0, 4);
-  ASSERT_FALSE(again.ok());
-  EXPECT_EQ(again.status().code(), StatusCode::kUnavailable);
+  // A second call times out the same way rather than wedging.
+  Result<PartialBatch> again = op.SampleNodes(0, 4);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_TRUE(again->timed_out);
 
   // Healing the network lets the same operator instance succeed.
   ASSERT_TRUE(plan.set_message_loss(0.0).ok());
-  Result<std::vector<NodeId>> healed = op.SampleNodes(0, 4);
+  Result<PartialBatch> healed = op.SampleNodes(0, 4);
   ASSERT_TRUE(healed.ok());
-  EXPECT_EQ(healed->size(), 4u);
+  EXPECT_FALSE(healed->timed_out);
+  EXPECT_EQ(healed->nodes.size(), 4u);
   EXPECT_EQ(op.last_telemetry().abandoned, 0u);
 }
 
@@ -165,9 +169,10 @@ TEST(RetryBackoffTest, MeterRetriesMatchInjectedLossesExactly) {
   FaultPlan plan(config, 17);
   op.SetFaultPlan(&plan);
 
-  Result<std::vector<NodeId>> res = op.SampleNodes(0, 20);
+  Result<PartialBatch> res = op.SampleNodes(0, 20);
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res->size(), 20u);
+  EXPECT_FALSE(res->timed_out);
+  EXPECT_EQ(res->nodes.size(), 20u);
   EXPECT_GT(plan.losses_injected(), 0u);
   // Every injected loss is annotated once in the meter and answered by
   // exactly one retransmission (attempts never run out at this depth),
@@ -193,9 +198,10 @@ TEST(RetryBackoffTest, TotalAgentDropTimesOutWithRestartsAccounted) {
   FaultPlan plan(config, 23);
   op.SetFaultPlan(&plan);
 
-  Result<std::vector<NodeId>> res = op.SampleNodes(0, 3);
-  ASSERT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), StatusCode::kUnavailable);
+  Result<PartialBatch> res = op.SampleNodes(0, 3);
+  ASSERT_TRUE(res.ok()) << res.status();
+  EXPECT_TRUE(res->timed_out);
+  EXPECT_LT(res->nodes.size(), 3u);
   EXPECT_GT(op.last_telemetry().drops, 0u);
   EXPECT_GT(meter.agent_restarts(), 0u);
   EXPECT_EQ(meter.agent_restarts(), plan.drops_injected());

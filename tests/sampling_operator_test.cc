@@ -40,16 +40,17 @@ TEST(SamplingOperatorTest, SamplesAreLiveNodes) {
   ASSERT_TRUE(g.ok());
   SamplingOperator op(&*g, UniformWeight(), Rng(3), nullptr);
   for (int i = 0; i < 50; ++i) {
-    Result<NodeId> node = op.SampleNode(0);
-    ASSERT_TRUE(node.ok());
-    EXPECT_TRUE(g->HasNode(*node));
+    Result<PartialBatch> batch = op.SampleNodes(0, 1);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_EQ(batch->nodes.size(), 1u);
+    EXPECT_TRUE(g->HasNode(batch->nodes.front()));
   }
 }
 
 TEST(SamplingOperatorTest, EmptyGraphFails) {
   Graph g;
   SamplingOperator op(&g, UniformWeight(), Rng(4), nullptr);
-  EXPECT_EQ(op.SampleNode(0).status().code(),
+  EXPECT_EQ(op.SampleNodes(0, 1).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -58,9 +59,10 @@ TEST(SamplingOperatorTest, DeadOriginFallsBackToRandomNode) {
   ASSERT_TRUE(g.ok());
   ASSERT_TRUE(g->RemoveNode(0).ok());
   SamplingOperator op(&*g, UniformWeight(), Rng(5), nullptr);
-  Result<NodeId> node = op.SampleNode(0);
-  ASSERT_TRUE(node.ok());
-  EXPECT_TRUE(g->HasNode(*node));
+  Result<PartialBatch> batch = op.SampleNodes(0, 1);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(batch->nodes.size(), 1u);
+  EXPECT_TRUE(g->HasNode(batch->nodes.front()));
 }
 
 TEST(SamplingOperatorTest, WarmWalksCostLessThanColdWalks) {
@@ -73,14 +75,14 @@ TEST(SamplingOperatorTest, WarmWalksCostLessThanColdWalks) {
   warm_options.warm_walks = true;
   SamplingOperator warm(&*g, UniformWeight(), Rng(7), &warm_meter,
                         warm_options);
-  for (int i = 0; i < 20; ++i) ASSERT_TRUE(warm.SampleNode(0).ok());
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(warm.SampleNodes(0, 1).ok());
 
   MessageMeter cold_meter;
   SamplingOperatorOptions cold_options;
   cold_options.warm_walks = false;
   SamplingOperator cold(&*g, UniformWeight(), Rng(7), &cold_meter,
                         cold_options);
-  for (int i = 0; i < 20; ++i) ASSERT_TRUE(cold.SampleNode(0).ok());
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(cold.SampleNodes(0, 1).ok());
 
   EXPECT_LT(warm_meter.Total(), cold_meter.Total());
 }
@@ -90,9 +92,10 @@ TEST(SamplingOperatorTest, BatchReturnsRequestedCount) {
   Result<Graph> g = MakeBarabasiAlbert(32, 2, rng);
   ASSERT_TRUE(g.ok());
   SamplingOperator op(&*g, UniformWeight(), Rng(8), nullptr);
-  Result<std::vector<NodeId>> nodes = op.SampleNodes(0, 17);
-  ASSERT_TRUE(nodes.ok());
-  EXPECT_EQ(nodes->size(), 17u);
+  Result<PartialBatch> batch = op.SampleNodes(0, 17);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_FALSE(batch->timed_out);
+  EXPECT_EQ(batch->nodes.size(), 17u);
 }
 
 TEST(SamplingOperatorTest, EverySampleChargesATransferMessage) {
@@ -136,9 +139,9 @@ TEST_P(OperatorDistribution, EmpiricalMatchesTarget) {
 
   const int n_samples = 30000;
   std::vector<double> counts(g->NextId(), 0.0);
-  Result<std::vector<NodeId>> nodes = op.SampleNodes(0, n_samples);
-  ASSERT_TRUE(nodes.ok());
-  for (NodeId v : *nodes) counts[v] += 1.0;
+  Result<PartialBatch> batch = op.SampleNodes(0, n_samples);
+  ASSERT_TRUE(batch.ok());
+  for (NodeId v : batch->nodes) counts[v] += 1.0;
 
   std::vector<double> empirical(fm->nodes.size());
   for (size_t r = 0; r < fm->nodes.size(); ++r) {

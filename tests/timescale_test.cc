@@ -4,8 +4,10 @@
 
 #include <cmath>
 
+#include "net/fault_plan.h"
 #include "numeric/stats.h"
-
+#include "sampling/sampling_operator.h"
+#include "sampling/weight.h"
 #include "workload/temperature.h"
 
 namespace digest {
@@ -30,9 +32,10 @@ struct Fixture {
 TEST(InterleavingSourceTest, LargeQuotaNeverAdvances) {
   Fixture f;
   InterleavingSampleSource source(f.inner.get(), f.workload.get(), 1 << 20);
-  Result<std::vector<TupleSample>> batch = source.DrawFresh(0, 200);
+  Result<PartialTupleBatch> batch = source.DrawFresh(0, 200);
   ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch->size(), 200u);
+  EXPECT_FALSE(batch->timed_out);
+  EXPECT_EQ(batch->samples.size(), 200u);
   EXPECT_EQ(source.mid_occasion_advances(), 0u);
   EXPECT_EQ(f.workload->now(), 0);
 }
@@ -53,6 +56,60 @@ TEST(InterleavingSourceTest, ZeroQuotaBehavesAsOne) {
   InterleavingSampleSource source(f.inner.get(), f.workload.get(), 0);
   ASSERT_TRUE(source.DrawFresh(0, 7).ok());
   EXPECT_EQ(source.mid_occasion_advances(), 7u);
+}
+
+// Counts the chunks an InterleavingSampleSource asks its inner source for.
+class CountingSource : public SampleSource {
+ public:
+  explicit CountingSource(SampleSource* inner) : inner_(inner) {}
+  Result<PartialTupleBatch> DrawFresh(NodeId origin, size_t n) override {
+    ++calls_;
+    return inner_->DrawFresh(origin, n);
+  }
+  size_t calls() const { return calls_; }
+
+ private:
+  SampleSource* inner_;
+  size_t calls_ = 0;
+};
+
+// A hop-budget timeout inside a chunk is a value, not an error: the
+// decorator hands back the samples that completed, flagged, and stops
+// drawing further chunks against the spent budget.
+TEST(InterleavingSourceTest, TimedOutChunkReturnsCompletedPrefix) {
+  TemperatureConfig config;
+  config.num_units = 400;
+  config.num_nodes = 25;
+  auto workload = TemperatureWorkload::Create(config).value();
+  SamplingOperatorOptions options;
+  options.walk_length = 20;
+  options.reset_length = 5;
+  options.retry.hop_budget_factor = 1.2;
+  SamplingOperator op(&workload->graph(), ContentSizeWeight(workload->db()),
+                      Rng(3), nullptr, options);
+  FaultPlanConfig faults;
+  faults.message_loss = 0.6;
+  FaultPlan plan(faults, /*seed=*/11);
+  op.SetFaultPlan(&plan);
+  TwoStageTupleSampler sampler(&workload->db(), &op, Rng(4));
+  TwoStageSampleSource two_stage(&sampler);
+  CountingSource counting(&two_stage);
+  InterleavingSampleSource source(&counting, workload.get(), 40);
+
+  Result<PartialTupleBatch> batch = source.DrawFresh(0, 100);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  EXPECT_TRUE(batch->timed_out);
+  EXPECT_GT(batch->samples.size(), 0u);
+  EXPECT_LT(batch->samples.size(), 40u);
+  for (const TupleSample& s : batch->samples) {
+    Result<Tuple> stored = workload->db().GetTuple(s.ref);
+    ASSERT_TRUE(stored.ok());
+    EXPECT_EQ(*stored, s.tuple);
+  }
+  EXPECT_EQ(counting.calls(), 1u);
+  // The short chunk did not fill the quota, so the world stood still.
+  EXPECT_EQ(source.mid_occasion_advances(), 0u);
+  EXPECT_EQ(workload->now(), 0);
 }
 
 TEST(InterleavingSourceTest, FastChangeDegradesSnapshotAccuracy) {

@@ -35,10 +35,11 @@ TEST(TwoStageSamplerTest, SamplesComeFromTheDatabase) {
   Fixture f(6);
   SamplingOperator op(&f.graph, ContentSizeWeight(*f.db), Rng(1), nullptr);
   TwoStageTupleSampler sampler(f.db.get(), &op, Rng(2));
-  Result<std::vector<TupleSample>> batch = sampler.SampleBatch(0, 40);
+  Result<PartialTupleBatch> batch = sampler.SampleBatch(0, 40);
   ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->size(), 40u);
-  for (const TupleSample& s : *batch) {
+  EXPECT_FALSE(batch->timed_out);
+  ASSERT_EQ(batch->samples.size(), 40u);
+  for (const TupleSample& s : batch->samples) {
     Result<Tuple> stored = f.db->GetTuple(s.ref);
     ASSERT_TRUE(stored.ok());
     EXPECT_EQ(*stored, s.tuple);
@@ -51,7 +52,7 @@ TEST(TwoStageSamplerTest, EmptyRelationFails) {
   for (NodeId node : g.LiveNodes()) ASSERT_TRUE(db.AddNode(node).ok());
   SamplingOperator op(&g, ContentSizeWeight(db), Rng(3), nullptr);
   TwoStageTupleSampler sampler(&db, &op, Rng(4));
-  EXPECT_EQ(sampler.Sample(0).status().code(),
+  EXPECT_EQ(sampler.SampleBatch(0, 1).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -68,9 +69,9 @@ TEST(TwoStageSamplerTest, TupleDistributionIsUniform) {
 
   const int n = 42000;
   std::map<double, int> counts;
-  Result<std::vector<TupleSample>> batch = sampler.SampleBatch(0, n);
+  Result<PartialTupleBatch> batch = sampler.SampleBatch(0, n);
   ASSERT_TRUE(batch.ok());
-  for (const TupleSample& s : *batch) counts[s.tuple[0]] += 1;
+  for (const TupleSample& s : batch->samples) counts[s.tuple[0]] += 1;
 
   const double expected = static_cast<double>(n) / f.total_tuples;
   ASSERT_EQ(f.total_tuples, 21u);
@@ -102,7 +103,7 @@ TEST(ExactSamplerTest, EmptyRelationFails) {
   P2PDatabase db(Schema::Create({"v"}).value());
   for (NodeId node : g.LiveNodes()) ASSERT_TRUE(db.AddNode(node).ok());
   ExactTupleSampler sampler(&db, Rng(8), nullptr);
-  EXPECT_FALSE(sampler.Sample().ok());
+  EXPECT_FALSE(sampler.SampleBatch(1).ok());
 }
 
 TEST(ClusterSamplerTest, ReturnsWholeNodeContent) {
@@ -158,9 +159,9 @@ TEST(ClusterSamplerTest, ClusterEstimateIsWorseUnderIntraNodeCorrelation) {
     ASSERT_TRUE(c.ok());
     const double ce = mean_of(*c) - truth;
     cluster_sq_err += ce * ce;
-    Result<std::vector<TupleSample>> t = two_stage.SampleBatch(0, c->size());
+    Result<PartialTupleBatch> t = two_stage.SampleBatch(0, c->size());
     ASSERT_TRUE(t.ok());
-    const double te = mean_of(*t) - truth;
+    const double te = mean_of(t->samples) - truth;
     two_stage_sq_err += te * te;
   }
   EXPECT_GT(cluster_sq_err, 3.0 * two_stage_sq_err);
