@@ -86,12 +86,7 @@ int Run(int argc, char** argv) {
       options.estimator = EstimatorKind::kIndependent;
       options.sampler = SamplerKind::kExactCentral;  // Count samples only.
       options.strict_resolution = strict;
-      options.tracer = obs.tracer();
-      options.registry = obs.registry();
-      options.profiler = obs.profiler();
-      options.auditor = obs.auditor();
-      options.diag = obs.diag();
-      options.health = obs.health();
+      Attach(obs.instruments(), obs.health(), &options);
       if (algo.history > 0) {
         options.extrapolator.history_points = algo.history;
       }
@@ -143,12 +138,7 @@ int Run(int argc, char** argv) {
     options.scheduler = SchedulerKind::kPred;
     options.estimator = EstimatorKind::kRepeated;
     options.sampler = SamplerKind::kTwoStageMcmc;
-    options.tracer = obs.tracer();
-    options.registry = obs.registry();
-    options.profiler = obs.profiler();
-    options.auditor = obs.auditor();
-    options.diag = obs.diag();
-    options.health = obs.health();
+    Attach(obs.instruments(), obs.health(), &options);
     RunResult run = UnwrapOrDie(
         RunEngineExperiment(*workload, spec, options, showcase_ticks,
                             args.seed, "PRED-3 RPT mcmc showcase"),

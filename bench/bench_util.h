@@ -6,7 +6,9 @@
 // as an aligned text table, with a --scale flag to trade fidelity for
 // runtime (scale=1.0 reproduces the paper's full workload sizes).
 
+#include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,9 +18,11 @@
 #include "audit/audit.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "core/engine.h"
 #include "diag/diag.h"
 #include "net/peer_health.h"
 #include "obs/exporters.h"
+#include "obs/instruments.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "prof/profiler.h"
@@ -78,6 +82,36 @@ struct BenchArgs {
     }
   }
 
+  /// Prints `message` and the usage text to stderr and exits 2: the one
+  /// rejection every unknown or malformed flag gets, in every bench.
+  [[noreturn]] static void Reject(const char* binary,
+                                  const std::string& message,
+                                  const std::vector<ExtraFlag>& extra) {
+    std::fprintf(stderr, "%s: %s\n\n", binary, message.c_str());
+    PrintUsage(stderr, binary, extra);
+    std::exit(2);
+  }
+
+  /// Parses the value `text` of the unsigned integer flag `flag`
+  /// strictly: a bare strtoull would read "abc" as 0 and "12x" as 12.
+  /// An empty value, a sign, non-digits, trailing garbage and values
+  /// past 2^64 - 1 are rejected (exit 2 with the usage text).
+  static uint64_t ParseUnsigned(const char* binary, const char* flag,
+                                const char* text,
+                                const std::vector<ExtraFlag>& extra) {
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(*text)) || *end != '\0' ||
+        errno == ERANGE) {
+      Reject(binary,
+             std::string("invalid ") + flag + " value '" + text +
+                 "' (need a non-negative integer)",
+             extra);
+    }
+    return value;
+  }
+
   /// Parses the shared flags. Any `--flag` that is neither shared nor
   /// registered in `extra` is rejected with an error plus the usage
   /// text (exit 2), identically in every bench. Non-flag arguments are
@@ -109,16 +143,14 @@ struct BenchArgs {
         if (*text == '\0' || end == nullptr || *end != '\0' ||
             errno == ERANGE || !(scale > 0.0) ||
             scale > 1e12 /* finite, sane */) {
-          std::fprintf(stderr,
-                       "%s: invalid --scale value '%s' (need a positive "
-                       "number)\n\n",
-                       argv[0], text);
-          PrintUsage(stderr, argv[0], extra);
-          std::exit(2);
+          Reject(argv[0],
+                 std::string("invalid --scale value '") + text +
+                     "' (need a positive number)",
+                 extra);
         }
         args.scale = scale;
       } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-        args.seed = std::strtoull(argv[i] + 7, nullptr, 10);
+        args.seed = ParseUnsigned(argv[0], "--seed", argv[i] + 7, extra);
       } else if (std::strcmp(argv[i], "--quick") == 0) {
         args.quick = true;
       } else if (std::strcmp(argv[i], "--prof") == 0) {
@@ -139,9 +171,8 @@ struct BenchArgs {
         PrintUsage(stdout, argv[0], extra);
         std::exit(0);
       } else if (!matches_extra(argv[i])) {
-        std::fprintf(stderr, "%s: unknown flag '%s'\n\n", argv[0], argv[i]);
-        PrintUsage(stderr, argv[0], extra);
-        std::exit(2);
+        Reject(argv[0], std::string("unknown flag '") + argv[i] + "'",
+               extra);
       }
     }
     return args;
@@ -168,9 +199,17 @@ inline void CheckOk(const Status& status, const char* what) {
   }
 }
 
+/// Attaches `instruments` and `health` to `options`: the bundle as one
+/// value, the routing monitor beside it.
+inline void Attach(const Instruments& instruments, PeerHealthMonitor* health,
+                   DigestEngineOptions* options) {
+  static_cast<Instruments&>(*options) = instruments;
+  options->health = health;
+}
+
 /// Observability plumbing for a bench run, driven by the --trace /
-/// --trace-jsonl / --metrics / --prof flags. When none is given,
-/// tracer(), registry(), and profiler() return nullptr and the
+/// --trace-jsonl / --metrics / --prof / --audit / --diag / --health
+/// flags. When none is given, every instrument is null and the
 /// instrumented code takes its null fast path — the run is
 /// bit-identical to an uninstrumented binary. Call Finish() after the
 /// sweep to write the requested files and print the end-of-run tables.
@@ -185,22 +224,25 @@ class ObsSession {
   explicit ObsSession(const BenchArgs& args)
       : args_(args), enabled_(args.ObservabilityRequested()) {}
 
-  obs::Tracer* tracer() { return enabled_ ? &tracer_ : nullptr; }
-  obs::Registry* registry() { return enabled_ ? &registry_ : nullptr; }
-  prof::Profiler* profiler() { return args_.prof ? &profiler_ : nullptr; }
-  /// The --audit precision auditor. Composes freely with --trace /
-  /// --trace-jsonl / --metrics (audit_* events and audit.* metrics flow
-  /// into the same exports) and with --prof; null when --audit is off.
-  audit::PrecisionAuditor* auditor() {
-    return args_.audit ? &auditor_ : nullptr;
+  /// The requested instruments as one bundle. The tracer and registry
+  /// are on with any of --trace / --trace-jsonl / --metrics; the --audit
+  /// auditor and the --diag diagnostics compose freely with them
+  /// (audit_* and diag events and metrics flow into the same exports)
+  /// and with --prof.
+  Instruments instruments() {
+    Instruments in;
+    if (enabled_) {
+      in.tracer = &tracer_;
+      in.registry = &registry_;
+    }
+    if (args_.prof) in.profiler = &profiler_;
+    if (args_.audit) in.auditor = &auditor_;
+    if (args_.diag) in.diag = &diag_;
+    return in;
   }
-  /// The --diag sampler-introspection aggregator. Same composition
-  /// rules as --audit: its events/metrics ride the --trace /
-  /// --trace-jsonl / --metrics exports; null when --diag is off.
-  diag::SamplerDiag* diag() { return args_.diag ? &diag_ : nullptr; }
-  /// The --health peer-health monitor. Unlike the observers above it
-  /// steers walk routing (quarantine-aware Metropolis), so --health runs
-  /// are NOT bit-identical to plain runs — by design. Its events and
+  /// The --health peer-health monitor. Unlike the instruments it steers
+  /// walk routing (quarantine-aware Metropolis), so --health runs are
+  /// NOT bit-identical to plain runs — by design. Its events and
   /// health.* metrics ride the same exports; null when --health is off.
   PeerHealthMonitor* health() { return args_.health ? &health_ : nullptr; }
   bool enabled() const { return enabled_; }
@@ -222,14 +264,14 @@ class ObsSession {
     if (!enabled_) return;
     if (!args_.trace_path.empty()) {
       CheckOk(obs::WriteChromeTrace(tracer_.events(), args_.trace_path,
-                                    profiler()),
+                                    instruments().profiler),
               "--trace");
       std::printf("\nwrote Chrome trace (%zu events) to %s\n",
                   tracer_.events().size(), args_.trace_path.c_str());
     }
     if (!args_.trace_jsonl_path.empty()) {
       CheckOk(obs::WriteJsonLines(tracer_.events(), args_.trace_jsonl_path,
-                                  profiler()),
+                                  instruments().profiler),
               "--trace-jsonl");
       std::printf("wrote JSONL trace (%zu events) to %s\n",
                   tracer_.events().size(),
@@ -237,7 +279,8 @@ class ObsSession {
     }
     if (!args_.metrics_path.empty()) {
       CheckOk(obs::WriteFile(args_.metrics_path,
-                             obs::RenderMetricsJson(registry_, profiler())),
+                             obs::RenderMetricsJson(registry_,
+                                                    instruments().profiler)),
               "--metrics");
       std::printf("wrote metrics registry to %s\n",
                   args_.metrics_path.c_str());

@@ -83,16 +83,10 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
   if (options.estimator_options.min_partial_samples < 2) {
     return Status::InvalidArgument("min_partial_samples must be >= 2");
   }
-  // One sink for the whole stack: the engine-level tracer flows into the
-  // estimator (explicit estimator_options.tracer wins when set) and into
-  // every operator the engine builds.
-  if (options.estimator_options.tracer == nullptr) {
-    options.estimator_options.tracer = options.tracer;
-  }
   // The engine-level thread count flows into every operator it builds
   // (callers using CreateWithOperator configure their operator
   // directly). A non-zero sampling_options.num_threads set explicitly
-  // wins, same precedence style as the tracer above.
+  // wins.
   if (options.sampling_options.num_threads == 0) {
     options.sampling_options.num_threads = options.num_threads;
   }
@@ -108,7 +102,6 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
   }
   if (options.health != nullptr) {
     DIGEST_RETURN_IF_ERROR(options.health->config().Validate());
-    options.health->SetTracer(options.tracer);
   }
   engine->shared_operator_ = shared_operator != nullptr;
 
@@ -121,14 +114,14 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
             graph, ContentSizeWeight(*db), rng.Fork(), meter,
             options.sampling_options);
         engine->sampling_operator_->SetFaultPlan(options.fault_plan);
-        engine->sampling_operator_->SetObservability(
-            options.tracer, options.registry, options.profiler);
-        // The diagnostics watch the content-weighted walks only — the
-        // chain whose stationary target the estimator's samples rely on.
-        engine->sampling_operator_->SetDiag(options.diag);
+        engine->sampling_operator_->SetInstruments(options);
         // Like the diagnostics, the health monitor watches (and steers)
-        // the content-weighted walks only.
+        // the content-weighted walks only. The engine owns this operator,
+        // so it attaches the monitor's tracer too.
         engine->sampling_operator_->SetHealth(options.health);
+        if (options.health != nullptr) {
+          options.health->SetTracer(options.tracer);
+        }
         op = engine->sampling_operator_.get();
       }
       // With an external sample source the node owns the sampler (and
@@ -161,8 +154,11 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
           graph, UniformWeight(), rng.Fork(), meter,
           options.sampling_options);
       engine->uniform_operator_->SetFaultPlan(options.fault_plan);
-      engine->uniform_operator_->SetObservability(
-          options.tracer, options.registry, options.profiler);
+      // The diagnostics watch the content-weighted walks only — the
+      // chain whose stationary target the estimator's samples rely on.
+      Instruments uniform = options;
+      uniform.diag = nullptr;
+      engine->uniform_operator_->SetInstruments(uniform);
       engine->size_oracle_ = std::make_unique<CollisionSizeEstimator>(
           db, engine->uniform_operator_.get(), querying_node,
           options.size_estimator_options);
@@ -179,12 +175,12 @@ Result<std::unique_ptr<DigestEngine>> DigestEngine::CreateWithOperator(
     case EstimatorKind::kIndependent:
       engine->estimator_ = std::make_unique<IndependentEstimator>(
           engine->spec_, db, source, engine->size_oracle_.get(), meter,
-          rng.Fork(), options.estimator_options);
+          rng.Fork(), options.estimator_options, options.tracer);
       break;
     case EstimatorKind::kRepeated:
       engine->estimator_ = std::make_unique<RepeatedSamplingEstimator>(
           engine->spec_, db, source, engine->size_oracle_.get(), meter,
-          rng.Fork(), options.estimator_options);
+          rng.Fork(), options.estimator_options, options.tracer);
       break;
   }
   return engine;

@@ -26,7 +26,8 @@ IndependentEstimator::IndependentEstimator(const ContinuousQuerySpec& spec,
                                            SampleSource* source,
                                            SizeOracle* size_oracle,
                                            MessageMeter* meter, Rng rng,
-                                           EstimatorOptions options)
+                                           EstimatorOptions options,
+                                           obs::Tracer* tracer)
     : spec_(spec),
       db_(db),
       source_(source),
@@ -34,6 +35,7 @@ IndependentEstimator::IndependentEstimator(const ContinuousQuerySpec& spec,
       meter_(meter),
       rng_(rng),
       options_(options),
+      tracer_(tracer),
       bound_expression_(spec.query.expression),
       bound_where_(spec.query.where) {}
 
@@ -252,14 +254,14 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
         est.ci_halfwidth,
         ScaleToQueryUnits(z_ * std::sqrt(est.variance_of_mean)));
   }
-  if (obs::Tracing(options_.tracer)) {
+  if (obs::Tracing(tracer_)) {
     // INDEP sizes iteratively from the pilot, so the realized draw count
     // *is* the budget the CLT formula settled on.
-    options_.tracer->Emit(obs::SampleBudgetEvent{
+    tracer_->Emit(obs::SampleBudgetEvent{
         /*repeated=*/false, /*rho_hat=*/0.0, est.sigma,
         static_cast<uint64_t>(fresh.drawn), /*planned_retained=*/0});
     if (partial) {
-      options_.tracer->Emit(obs::PartialSnapshotEvent{
+      tracer_->Emit(obs::PartialSnapshotEvent{
           static_cast<uint64_t>(est.contributing_samples),
           static_cast<uint64_t>(fresh.planned), est.ci_halfwidth});
     }
@@ -273,8 +275,9 @@ Result<SnapshotEstimate> IndependentEstimator::Evaluate(NodeId origin) {
 RepeatedSamplingEstimator::RepeatedSamplingEstimator(
     const ContinuousQuerySpec& spec, const P2PDatabase* db,
     SampleSource* source, SizeOracle* size_oracle, MessageMeter* meter,
-    Rng rng, EstimatorOptions options)
-    : independent_(spec, db, source, size_oracle, meter, rng.Fork(), options),
+    Rng rng, EstimatorOptions options, obs::Tracer* tracer)
+    : independent_(spec, db, source, size_oracle, meter, rng.Fork(), options,
+                   tracer),
       db_(db),
       meter_(meter),
       rng_(rng),
@@ -373,8 +376,8 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
       static_cast<double>(n_target) * static_cast<double>(plan.retained) /
       static_cast<double>(std::max<size_t>(plan.total, 1)));
   g_target = std::min(g_target, prev_samples_.size());
-  if (obs::Tracing(options_.tracer)) {
-    options_.tracer->Emit(obs::SampleBudgetEvent{
+  if (obs::Tracing(independent_.tracer_)) {
+    independent_.tracer_->Emit(obs::SampleBudgetEvent{
         /*repeated=*/true, rho_hat_, sigma_hat_,
         static_cast<uint64_t>(n_target), static_cast<uint64_t>(g_target)});
   }
@@ -537,8 +540,8 @@ Result<SnapshotEstimate> RepeatedSamplingEstimator::Evaluate(NodeId origin) {
   DIGEST_ASSIGN_OR_RETURN(
       est.ci_halfwidth,
       independent_.ScaleToQueryUnits(z * std::sqrt(combined_var)));
-  if (fresh.partial && obs::Tracing(options_.tracer)) {
-    options_.tracer->Emit(obs::PartialSnapshotEvent{
+  if (fresh.partial && obs::Tracing(independent_.tracer_)) {
+    independent_.tracer_->Emit(obs::PartialSnapshotEvent{
         static_cast<uint64_t>(yf.size()),
         static_cast<uint64_t>(fresh.planned), est.ci_halfwidth});
   }

@@ -111,11 +111,6 @@ struct EstimatorOptions {
   /// this the occasion still fails with kUnavailable (an estimate from
   /// fewer points has no usable variance). Must be >= 2.
   size_t min_partial_samples = 8;
-  /// Optional structured event sink (not owned; null disables). Each
-  /// occasion emits one SampleBudgetEvent describing the planned split
-  /// (RPT retained/fresh with ρ̂, or INDEP's CLT size). Pure
-  /// observation: estimates and RNG streams are unchanged by tracing.
-  obs::Tracer* tracer = nullptr;
 };
 
 /// Outcome of one sampling occasion (one snapshot-query evaluation).
@@ -209,11 +204,15 @@ class IndependentEstimator : public SnapshotEstimator {
  public:
   /// The expression inside `spec.query` is bound against `db->schema()`
   /// on first use. `size_oracle` may be null for AVG queries; SUM/COUNT
-  /// fail without one. `meter` may be null.
+  /// fail without one. `meter` may be null. `tracer` (not owned; null
+  /// disables) receives one SampleBudgetEvent per occasion describing
+  /// the planned split (RPT retained/fresh with ρ̂, or INDEP's CLT size);
+  /// estimates and RNG streams are unchanged by tracing.
   IndependentEstimator(const ContinuousQuerySpec& spec, const P2PDatabase* db,
                        SampleSource* source, SizeOracle* size_oracle,
                        MessageMeter* meter, Rng rng,
-                       EstimatorOptions options = {});
+                       EstimatorOptions options = {},
+                       obs::Tracer* tracer = nullptr);
 
   Result<SnapshotEstimate> Evaluate(NodeId origin) override;
   void Reset() override {}
@@ -262,6 +261,7 @@ class IndependentEstimator : public SnapshotEstimator {
   MessageMeter* meter_;
   Rng rng_;
   EstimatorOptions options_;
+  obs::Tracer* tracer_;  // Also emits for a wrapping RPT estimator.
   Expression bound_expression_;
   Predicate bound_where_;
   double z_ = 0.0;  // Two-sided normal quantile for the confidence level.
@@ -292,7 +292,8 @@ class RepeatedSamplingEstimator : public SnapshotEstimator {
   RepeatedSamplingEstimator(const ContinuousQuerySpec& spec,
                             const P2PDatabase* db, SampleSource* source,
                             SizeOracle* size_oracle, MessageMeter* meter,
-                            Rng rng, EstimatorOptions options = {});
+                            Rng rng, EstimatorOptions options = {},
+                            obs::Tracer* tracer = nullptr);
 
   Result<SnapshotEstimate> Evaluate(NodeId origin) override;
 

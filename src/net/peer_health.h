@@ -225,7 +225,7 @@ class PeerHealthMonitor {
   size_t peers_tracked() const;
 
   /// Flap rate: re-opens per open — breakers that keep bouncing between
-  /// open and half-open (tools/health_report.py gates on it).
+  /// open and half-open (tools/run_report.py gates on it).
   double FlapRate() const;
 
   /// Clears all state back to construction (the experiment harness

@@ -159,7 +159,8 @@ Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
   // run. num_threads <= 1 runs the walks inline on the calling thread,
   // >= 2 on the worker pool: the same kernel and the same merge, so
   // every output is bit-identical at any num_threads by construction.
-  prof::ScopedTimer batch_timer(profiler_, prof::Phase::kWalkBatch);
+  prof::ScopedTimer batch_timer(instruments_.profiler,
+                                prof::Phase::kWalkBatch);
   if (graph_->NodeCount() == 0) {
     return Status::FailedPrecondition("cannot sample an empty network");
   }
@@ -197,9 +198,10 @@ Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
     budget = static_cast<uint64_t>(std::ceil(
         options_.retry.hop_budget_factor * static_cast<double>(planned)));
   }
-  const bool tracing = obs::Tracing(tracer_);
+  const bool tracing = obs::Tracing(instruments_.tracer);
   if (tracing) {
-    tracer_->Emit(obs::WalkBatchEvent{n, warm, walk_len, reset_len, budget});
+    instruments_.tracer->Emit(
+        obs::WalkBatchEvent{n, warm, walk_len, reset_len, budget});
   }
 
   // The batch key is the ONLY draw this batch takes from the operator's
@@ -222,7 +224,7 @@ Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
     WalkIo& io = out.io;
     io = WalkIo();
     io.meter = meter_ != nullptr ? &out.meter : nullptr;
-    io.diag = diag_ != nullptr ? &out.diag : nullptr;
+    io.diag = instruments_.diag != nullptr ? &out.diag : nullptr;
     io.health = health_ != nullptr ? &out.health : nullptr;
     WalkTelemetry& telemetry = io.telemetry;
     const bool is_warm = i < warm;
@@ -339,24 +341,26 @@ Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
   // are schedule-independent.
   Status walk_status;
   if (options_.num_threads <= 1) {
-    prof::Track track(profiler_);
+    prof::Track track(instruments_.profiler);
     for (size_t i = 0; i < n; ++i) {
       const Status status = run_walk(i, &track);
       if (walk_status.ok()) walk_status = status;
     }
-    if (profiler_ != nullptr) profiler_->FoldTrack(0, track);
+    if (instruments_.profiler != nullptr) {
+      instruments_.profiler->FoldTrack(0, track);
+    }
   } else {
     if (pool_ == nullptr) {
       pool_ = std::make_unique<exec::WorkerPool>(options_.num_threads);
     }
     std::vector<prof::Track> tracks(pool_->num_threads(),
-                                    prof::Track(profiler_));
+                                    prof::Track(instruments_.profiler));
     walk_status = pool_->ParallelFor(n, [&](size_t i, size_t worker) {
       return run_walk(i, &tracks[worker]);
     });
-    if (profiler_ != nullptr) {
+    if (instruments_.profiler != nullptr) {
       for (size_t w = 0; w < tracks.size(); ++w) {
-        profiler_->FoldTrack(w, tracks[w]);
+        instruments_.profiler->FoldTrack(w, tracks[w]);
       }
     }
   }
@@ -387,7 +391,8 @@ Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
     }
     if (tracing) {
       for (obs::EventPayload& payload : o.trace.payloads()) {
-        tracer_->EmitLane(std::move(payload), static_cast<int64_t>(i));
+        instruments_.tracer->EmitLane(std::move(payload),
+                                      static_cast<int64_t>(i));
       }
     }
     MergeTelemetry(last_telemetry_, o.io.telemetry);
@@ -401,7 +406,7 @@ Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
       break;
     }
     out.push_back(o.final_pos);
-    if (diag_ != nullptr) diag_->FoldWalk(o.diag);
+    if (instruments_.diag != nullptr) instruments_.diag->FoldWalk(o.diag);
     if (health_ != nullptr) health_->FoldWalk(o.health);
     cum_attempts += o.io.telemetry.attempts;
     if (faults_ != nullptr) {
@@ -420,26 +425,28 @@ Result<PartialBatch> SamplingOperator::SampleNodes(NodeId origin, size_t n) {
     // finish this batch in time. Hand back what completed, flagged; the
     // caller degrades on it or finalizes a partial snapshot from it.
     if (tracing) {
-      tracer_->Emit(obs::HopBudgetExhaustedEvent{last_telemetry_.attempts,
-                                                 budget});
+      instruments_.tracer->Emit(
+          obs::HopBudgetExhaustedEvent{last_telemetry_.attempts, budget});
     }
   } else {
     if (!options_.warm_walks) agents_.clear();
     if (tracing) {
       if (last_telemetry_.stalled_steps > 0) {
-        tracer_->Emit(obs::FaultStallEvent{last_telemetry_.stalled_steps});
+        instruments_.tracer->Emit(
+            obs::FaultStallEvent{last_telemetry_.stalled_steps});
       }
-      tracer_->Emit(obs::WalkBatchDoneEvent{
+      instruments_.tracer->Emit(obs::WalkBatchDoneEvent{
           out.size(), last_telemetry_.attempts, last_telemetry_.retries,
           last_telemetry_.losses, last_telemetry_.drops,
           last_telemetry_.stalled_steps, last_telemetry_.hedges,
           last_telemetry_.hedge_wins});
     }
   }
-  ObserveBatch(registry_, last_telemetry_, out.size(), cut);
-  if (diag_ != nullptr) {
-    diag_->FinishBatch(context_, last_telemetry_.proposals,
-                       last_telemetry_.accepted, tracer_, registry_);
+  ObserveBatch(instruments_.registry, last_telemetry_, out.size(), cut);
+  if (instruments_.diag != nullptr) {
+    instruments_.diag->FinishBatch(
+        context_, last_telemetry_.proposals, last_telemetry_.accepted,
+        instruments_.tracer, instruments_.registry);
   }
   if (health_ != nullptr) health_->FinishBatch(graph_->NodeCount());
   return PartialBatch{std::move(out), cut};

@@ -10,23 +10,14 @@
 #include "net/graph.h"
 #include "net/message_meter.h"
 #include "numeric/rng.h"
+#include "obs/instruments.h"
 #include "sampling/random_walk.h"
 #include "sampling/weight.h"
 
 namespace digest {
-namespace diag {
-class SamplerDiag;
-}  // namespace diag
 namespace exec {
 class WorkerPool;
 }  // namespace exec
-namespace obs {
-class Registry;
-class Tracer;
-}  // namespace obs
-namespace prof {
-class Profiler;
-}  // namespace prof
 
 class PeerHealthMonitor;
 
@@ -150,34 +141,21 @@ class SamplingOperator {
   void SetFaultPlan(FaultPlan* faults) { faults_ = faults; }
   FaultPlan* fault_plan() const { return faults_; }
 
-  /// Attaches structured observability (each may be null; none is
-  /// owned). The tracer receives walk-batch lifecycle events (launch,
-  /// agent restart, hop-budget exhaustion, completion); the registry
-  /// receives hop-count/acceptance-rate/retry histograms and batch
-  /// counters; the wall-clock profiler times whole batches
+  /// Attaches the pure observers (each may be null; none is owned; the
+  /// auditor is not read here). The tracer receives walk-batch lifecycle
+  /// events (launch, agent restart, hop-budget exhaustion, completion);
+  /// the registry receives hop-count/acceptance-rate/retry histograms
+  /// and batch counters; the profiler times whole batches
   /// (prof::Phase::kWalkBatch, items = samples drawn) and per-agent
-  /// stepping (kWalkAdvance, items = hops). Pure observation: the
-  /// sampled nodes, the RNG stream, and all MessageMeter accounting are
-  /// bit-identical with or without.
-  void SetObservability(obs::Tracer* tracer, obs::Registry* registry,
-                        prof::Profiler* profiler = nullptr) {
-    tracer_ = tracer;
-    registry_ = registry;
-    profiler_ = profiler;
+  /// stepping (kWalkAdvance, items = hops); the diagnostics fold each
+  /// delivered walk's visit/probe/hop record in walk-index order and
+  /// close every batch with SamplerDiag::FinishBatch against the current
+  /// live membership. The sampled nodes, the RNG stream, all
+  /// MessageMeter accounting and the folded diag state are bit-identical
+  /// with or without them, at every num_threads.
+  void SetInstruments(const Instruments& instruments) {
+    instruments_ = instruments;
   }
-  obs::Tracer* tracer() const { return tracer_; }
-  obs::Registry* registry() const { return registry_; }
-  prof::Profiler* profiler() const { return profiler_; }
-
-  /// Attaches (or detaches, with nullptr) the sampler-introspection
-  /// aggregator. Not owned. Each delivered walk's visit/probe/hop record
-  /// is folded in walk-index order and every batch is closed with
-  /// SamplerDiag::FinishBatch against the current live membership. Pure
-  /// observation with the same contract as SetObservability: a null
-  /// diag is the fast path, bit-identical to an uninstrumented build,
-  /// and the folded state is invariant across num_threads.
-  void SetDiag(diag::SamplerDiag* diag) { diag_ = diag; }
-  diag::SamplerDiag* diag() const { return diag_; }
 
   /// Attaches (or detaches, with nullptr) the adaptive peer-health
   /// monitor. Not owned. Unlike the pure observers above, the monitor
@@ -191,7 +169,6 @@ class SamplingOperator {
   /// folded health state is invariant across num_threads
   /// (test-enforced).
   void SetHealth(PeerHealthMonitor* health) { health_ = health; }
-  PeerHealthMonitor* health() const { return health_; }
 
   /// Draws `n` sample nodes in batch mode (§VI-A): n agents with
   /// overlapping convergence, each contributing one node, originating
@@ -265,10 +242,7 @@ class SamplingOperator {
   MessageMeter* meter_;
   SamplingOperatorOptions options_;
   FaultPlan* faults_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
-  obs::Registry* registry_ = nullptr;
-  prof::Profiler* profiler_ = nullptr;
-  diag::SamplerDiag* diag_ = nullptr;
+  Instruments instruments_;
   PeerHealthMonitor* health_ = nullptr;
   WalkTelemetry last_telemetry_;
   // Warm agents: walk i of every batch continues agents_[i].

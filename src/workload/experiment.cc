@@ -10,6 +10,17 @@
 
 namespace digest {
 
+void BeginInstrumentedRun(const DigestEngineOptions& options, int64_t now,
+                          const std::string& label) {
+  if (obs::Tracing(options.tracer)) {
+    options.tracer->set_now(now);
+    options.tracer->Emit(obs::RunBeginEvent{label});
+  }
+  if (options.auditor != nullptr) options.auditor->BeginRun(label);
+  if (options.diag != nullptr) options.diag->Reset();
+  if (options.health != nullptr) options.health->Reset();
+}
+
 Result<RunResult> RunEngineExperiment(Workload& workload,
                                       const ContinuousQuerySpec& spec,
                                       const DigestEngineOptions& options,
@@ -20,29 +31,11 @@ Result<RunResult> RunEngineExperiment(Workload& workload,
                           workload.graph().RandomLiveNode(rng));
   workload.ProtectNode(querying_node);
 
-  if (obs::Tracing(options.tracer)) {
-    // Rewind the shared tracer clock to this run's start so a marker
-    // left over from a previous run cannot stamp it with stale time.
-    options.tracer->set_now(workload.now());
-    options.tracer->Emit(obs::RunBeginEvent{
-        run_label.empty() ? "engine-run" : run_label});
-  }
+  BeginInstrumentedRun(options, workload.now(),
+                       run_label.empty() ? "engine-run" : run_label);
   if (options.fault_plan != nullptr) {
     options.fault_plan->SetTracer(options.tracer);
     options.fault_plan->SetProfiler(options.profiler);
-  }
-  if (options.auditor != nullptr) {
-    options.auditor->BeginRun(run_label.empty() ? "engine-run" : run_label);
-  }
-  if (options.diag != nullptr) {
-    // Mirror the auditor: a shared diagnostics aggregator starts every
-    // run from a clean slate, so repeat runs accumulate identically.
-    options.diag->Reset();
-  }
-  if (options.health != nullptr) {
-    // Same clean-slate discipline for the peer-health monitor: breaker
-    // and quarantine state never leaks across runs.
-    options.health->Reset();
   }
 
   RunResult out;

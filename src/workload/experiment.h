@@ -1,6 +1,7 @@
 #ifndef DIGEST_WORKLOAD_EXPERIMENT_H_
 #define DIGEST_WORKLOAD_EXPERIMENT_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -31,23 +32,33 @@ struct RunResult {
   SessionHealth final_health = SessionHealth::kHealthy;
 };
 
+/// Opens one run on every instrument `options` carries, so a shared
+/// instrument starts each run from a clean slate and repeat runs
+/// accumulate identically: the tracer's clock rewinds to `now` (a marker
+/// left by an earlier run cannot stamp this one with stale time) and a
+/// RunBeginEvent labelled `label` opens the run (exporters map each run
+/// to its own process lane); the auditor opens an audit run of that
+/// label; the diagnostics and the peer-health monitor reset.
+void BeginInstrumentedRun(const DigestEngineOptions& options, int64_t now,
+                          const std::string& label);
+
 /// Runs a Digest engine configuration over `ticks` ticks of `workload`.
 /// A querying node is drawn with `seed`; the workload is consumed (pass
 /// a fresh instance per run — identical seeds give identical data).
 /// If options.fault_plan is set, the plan's clock is advanced in step
 /// with the workload so stall windows track simulation time.
 ///
-/// With options.tracer set, the run opens with a RunBeginEvent labelled
-/// `run_label` (exporters map each run to its own process lane) and the
-/// fault plan, if any, shares the tracer. With options.registry set,
-/// the run's final EngineStats and MessageMeter are bridged into it
-/// (engine.* / net.* counters) when the run completes.
+/// The run opens with BeginInstrumentedRun under `run_label` (default
+/// "engine-run"), and the fault plan, if any, shares the tracer and
+/// profiler. With options.registry set, the run's final EngineStats and
+/// MessageMeter are bridged into it (engine.* / net.* counters) when the
+/// run completes.
 ///
-/// With options.auditor set, the harness opens an audit run labelled
-/// `run_label`, resolves every tick's audit occasion against the
-/// workload's exact-aggregate oracle (RecordTruth), finalizes the run
-/// (emitting one audit_slo event when tracing), and bridges the
-/// auditor's counters/gauges/histograms into the registry when set.
+/// With options.auditor set, the harness resolves every tick's audit
+/// occasion against the workload's exact-aggregate oracle (RecordTruth),
+/// finalizes the run (emitting one audit_slo event when tracing), and
+/// bridges the auditor's counters/gauges/histograms into the registry
+/// when set.
 Result<RunResult> RunEngineExperiment(Workload& workload,
                                       const ContinuousQuerySpec& spec,
                                       const DigestEngineOptions& options,

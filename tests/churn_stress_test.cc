@@ -107,7 +107,7 @@ ChurnDiagRun DriveChurnedBatches(diag::SamplerDiag* diag) {
   options.walk_length = 50;
   options.reset_length = 15;
   SamplingOperator op(&graph, UniformWeight(), Rng(4), nullptr, options);
-  if (diag != nullptr) op.SetDiag(diag);
+  op.SetInstruments({.diag = diag});
 
   ChurnDiagRun run;
   run.first_batch = op.SampleNodes(0, 20).value().nodes;

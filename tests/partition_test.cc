@@ -263,7 +263,7 @@ TEST(PartitionTest, QuarantineAwareRoutingHoldsCoverageAblationBreaches) {
   // Mechanism check, not just outcome: routing around the dead
   // component means fewer ticks spent degraded-holding a stale value.
   EXPECT_LT(aware->degraded_ticks, ablated->degraded_ticks);
-  // Breakers hold rather than bounce (the health_report.py gate, at
+  // Breakers hold rather than bounce (the run_report.py health gate, at
   // test scale).
   EXPECT_LE(aware->flap_rate, 0.5)
       << "opens=" << aware->opens << " reopens=" << aware->reopens;
